@@ -248,11 +248,9 @@ class BenchEchoSink final : public lanes::LaneActor {
 /// Shard stand-in: `sessions` closed-loop sessions that think (exponential)
 /// and round-trip one message through the sink — the SessionShard hot path
 /// (keyed timer churn + cross-lane messaging) without the serving system.
-/// The sink (on lane 0) only needs on_request(reply_lane, reply).
-template <typename Sink>
 class BenchShard final : public lanes::LaneActor {
  public:
-  BenchShard(lanes::LaneEngine& engine, std::size_t lane, Sink& sink,
+  BenchShard(lanes::LaneEngine& engine, std::size_t lane, BenchEchoSink& sink,
              std::size_t sessions, std::uint64_t seed)
       : LaneActor(engine, lane), sink_(&sink), rng_(seed) {
     for (std::size_t i = 0; i < sessions; ++i) think();
@@ -268,7 +266,7 @@ class BenchShard final : public lanes::LaneActor {
       sink_->on_request(reply_lane, [this] { think(); });
     });
   }
-  Sink* sink_;
+  BenchEchoSink* sink_;
   Rng rng_;
 };
 
@@ -276,6 +274,8 @@ void BM_LaneSessionChurn(benchmark::State& state) {
   // Per-event cost must stay near-flat in the session count: the pending
   // think timers live in a binary heap, so 16x more sessions may cost a
   // log factor, never a linear one (check_bench_ratios.py gates the ratio).
+  // The shard lane runs on a worker thread, so the rate is taken over wall
+  // time (UseRealTime); main-thread CPU time would miss the worker's share.
   const auto sessions = static_cast<std::size_t>(state.range(0));
   std::int64_t events = 0;
   for (auto _ : state) {
@@ -291,67 +291,7 @@ void BM_LaneSessionChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(events);
 }
-BENCHMARK(BM_LaneSessionChurn)->Arg(4096)->Arg(65536);
-
-/// Backend tier one LAN hop behind the frontend (the tier-laned cut).
-class BenchBackendTier final : public lanes::LaneActor {
- public:
-  explicit BenchBackendTier(lanes::LaneEngine& engine) : LaneActor(engine, 1) {}
-  void on_request(EventCallback reply_to_frontend) {
-    post(0, 0.01, std::move(reply_to_frontend));
-  }
-};
-
-/// Frontend tier: forwards every request across the 10 ms LAN hop to the
-/// backend on lane 1 and the reply back over the 50 ms client network.
-class BenchFrontendTier final : public lanes::LaneActor {
- public:
-  BenchFrontendTier(lanes::LaneEngine& engine, BenchBackendTier& backend)
-      : LaneActor(engine, 0), backend_(&backend) {}
-  void on_request(std::size_t reply_lane, EventCallback reply) {
-    BenchBackendTier* backend = backend_;
-    post(1, 0.01, [this, backend, reply_lane,
-                   reply = std::move(reply)]() mutable {
-      backend->on_request([this, reply_lane, reply = std::move(reply)]() mutable {
-        post(reply_lane, 0.05, std::move(reply));
-      });
-    });
-  }
-
- private:
-  BenchBackendTier* backend_;
-};
-
-void BM_LaneTierChurn(benchmark::State& state) {
-  // The tier-laned bench_scale hot path: skewed declared channels (50 ms
-  // client network vs 10 ms LAN hop) run under the null-message protocol,
-  // so every round pays the per-channel EOT fixed point and the anti-flood
-  // announce pass on top of the keyed timer churn. Like BM_LaneSessionChurn
-  // the per-event cost must stay near-flat in the session count
-  // (check_bench_ratios.py gates the ratio).
-  const auto sessions = static_cast<std::size_t>(state.range(0));
-  std::int64_t events = 0;
-  for (auto _ : state) {
-    lanes::LaneEngine::Options options;
-    options.lanes = 3;
-    options.lookahead = 0.01;
-    options.protocol = lanes::LaneEngine::Protocol::kNullMessage;
-    options.null_floor = 0.005;
-    lanes::LaneEngine engine(options);
-    engine.declare_channel(2, 0, 0.05);  // shard -> frontend (client net)
-    engine.declare_channel(0, 2, 0.05);  // frontend -> shard (client net)
-    engine.declare_channel(0, 1, 0.01);  // frontend -> backend (LAN hop)
-    engine.declare_channel(1, 0, 0.01);  // backend -> frontend (LAN hop)
-    BenchBackendTier backend(engine);
-    BenchFrontendTier frontend(engine, backend);
-    BenchShard shard(engine, 2, frontend, sessions, /*seed=*/31);
-    engine.run(10.0);
-    events += static_cast<std::int64_t>(engine.stats().events);
-    benchmark::DoNotOptimize(engine.stats().nulls_announced);
-  }
-  state.SetItemsProcessed(events);
-}
-BENCHMARK(BM_LaneTierChurn)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_LaneSessionChurn)->Arg(4096)->Arg(65536)->UseRealTime();
 
 void BM_TraceGeneration(benchmark::State& state) {
   TraceParams params;

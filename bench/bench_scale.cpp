@@ -4,14 +4,8 @@
 // A constant trace holds `sessions` (default 1.2 million) concurrent
 // closed-loop sessions with a long think time against the paper's 3-tier
 // chain (or the fan-out DAG with topology=dag), partitioned into `shards`
-// SessionShards. Two placements:
-//
-//   * client-edge (default): system on lane 0, shards on `lanes` worker
-//     lanes behind the client<->frontend channel;
-//   * tier-laned (tier_lanes=K): the system itself is cut — control cell,
-//     tier cells joined by `lan_delay` LAN hops, one cell per shard — and K
-//     worker threads execute the cells under the protocol the lookahead
-//     analysis picks (protocol=auto|tw|cmb overrides).
+// SessionShards: the system stays on lane 0 and the shards spread over
+// `lanes` worker lanes behind the client<->frontend channel.
 //
 // With compare=1 (default) every cell also runs single-threaded — the
 // serial reference — and the bench checks the results are bit-identical
@@ -20,7 +14,7 @@
 // csv_dir/scale_summary.csv for tools/plot_results.py --lanes.
 //
 // Keys: sessions= think= net_delay= shards= topology=chain|dag compare=
-// frameworks= tier_lanes= lan_delay= protocol= plus the standard
+// frameworks= plus the standard
 // work_scale/seed/duration/csv_dir/jobs/lanes (duration defaults to 120 s
 // here — the bench measures engine throughput, not a 12-minute control
 // trajectory). lanes=auto autotunes the shard count from the scenario.
@@ -70,12 +64,9 @@ void print_cell(const std::string& label, const CellReport& cell) {
                           cell.wall_seconds
                     : 0.0)
             << " ev/s, " << std::setprecision(1) << per_event_ns
-            << " ns/event), " << info.stats.windows << " windows, "
-            << info.stats.messages << " messages\n"
-            << "      rounds: serial " << info.stats.serial_rounds
-            << ", solo " << info.stats.solo_rounds << "; nulls: announced "
-            << info.stats.nulls_announced << ", suppressed "
-            << info.stats.nulls_suppressed << "\n"
+            << " ns/event), " << info.stats.windows << " windows ("
+            << info.stats.solo_rounds << " solo), " << info.stats.messages
+            << " messages\n"
             << "      sessions active " << info.active_sessions
             << ", issued " << cell.issued << ", completed " << cell.completed
             << ", p95 " << std::setprecision(1) << cell.p95_ms << " ms\n";
@@ -83,8 +74,8 @@ void print_cell(const std::string& label, const CellReport& cell) {
 
 /// One row per executed cell; tools/plot_results.py --lanes reads this.
 void append_summary(const std::string& csv_dir, const std::string& topology,
-                    const std::string& framework, const std::string& mode,
-                    std::size_t threads, const CellReport& cell) {
+                    const std::string& framework, std::size_t lanes,
+                    const CellReport& cell) {
   if (csv_dir.empty()) return;
   const std::string path = csv_dir + "/scale_summary.csv";
   bool exists = false;
@@ -100,7 +91,7 @@ void append_summary(const std::string& csv_dir, const std::string& topology,
       cell.wall_seconds > 0.0
           ? static_cast<double>(cell.info.stats.events) / cell.wall_seconds
           : 0.0;
-  out << topology << ',' << framework << ',' << mode << ',' << threads << ','
+  out << topology << ',' << framework << ",client-edge," << lanes << ','
       << std::fixed << std::setprecision(3) << cell.wall_seconds << ','
       << cell.info.stats.events << ',' << std::setprecision(0) << rate
       << "\n";
@@ -119,7 +110,7 @@ int main(int argc, char** argv) {
   BenchEnv env = BenchEnv::from_args(
       argc, argv,
       {"sessions", "think", "net_delay", "shards", "topology", "compare",
-       "frameworks", "tier_lanes", "lan_delay", "protocol"});
+       "frameworks"});
   const Config config = Config::from_args(argc, argv);
   const double sessions = config.get_double("sessions", 1.2e6);
   const double think = config.get_double("think", 300.0);
@@ -128,16 +119,12 @@ int main(int argc, char** argv) {
   const std::string topology = config.get_string("topology", "chain");
   const bool compare = config.get_int("compare", 1) != 0;
   const double duration = config.get_double("duration", 120.0);
-  const long long tier_lanes = config.get_int("tier_lanes", 0);
-  const double lan_delay = config.get_double("lan_delay", 0.010);
-  const std::string protocol_text = config.get_string("protocol", "auto");
   const std::vector<ControllerRef> frameworks =
       frameworks_from(config, "conscale");
   if (topology != "chain" && topology != "dag") {
     std::cerr << "topology= must be chain or dag\n";
     return 1;
   }
-  const bool tiered = tier_lanes > 0;
 
   bench::banner(
       "Lane-partitioned PDES — million-session scale bench",
@@ -169,38 +156,25 @@ int main(int argc, char** argv) {
                        ? 0
                        : (shards > 0 ? static_cast<std::size_t>(shards) : 1);
   options.net_delay = net_delay;
-  options.lan_delay = lan_delay;
-  if (protocol_text == "tw") {
-    options.protocol = LanedRunOptions::ProtocolChoice::kTimeWindow;
-  } else if (protocol_text == "cmb") {
-    options.protocol = LanedRunOptions::ProtocolChoice::kNullMessage;
-  } else if (protocol_text != "auto") {
-    std::cerr << "protocol= must be auto, tw, or cmb\n";
-    return 1;
-  }
-  if (tiered) options.tier_lanes = static_cast<std::size_t>(tier_lanes);
 
-  // Thread count of the measured cell: tier_lanes in tier-laned mode, the
-  // lane count otherwise (lanes=auto -> one lane per autotuned shard + 1).
-  // This bench defaults lanes to 4 — unlike the figure benches it exists to
-  // measure the parallel engine, so `lanes=` absent must not mean serial.
+  // Lane count of the measured cell (lanes=auto -> one lane per autotuned
+  // shard + 1). This bench defaults lanes to 4 — unlike the figure benches
+  // it exists to measure the parallel engine, so `lanes=` absent must not
+  // mean serial.
   const std::size_t shard_plan =
       options.shards > 0 ? options.shards
                          : autotune_shards(sessions, think);
   const std::size_t edge_lanes =
       config.get_string("lanes", "").empty() ? 4 : env.lanes;
-  const std::size_t measured_threads =
-      tiered ? static_cast<std::size_t>(tier_lanes)
-             : (env.lanes_auto ? shard_plan + 1 : edge_lanes);
-  const std::string mode = tiered ? "tier-laned" : "client-edge";
-  const std::string knob = tiered ? "tier_lanes" : "lanes";
+  const std::size_t measured_lanes =
+      env.lanes_auto ? shard_plan + 1 : edge_lanes;
 
   std::cout << "  grid: " << frameworks.size() << " frameworks x "
-            << topology << " (" << mode << "), " << std::fixed
+            << topology << ", " << std::fixed
             << std::setprecision(0) << sessions << " sessions, "
             << shard_plan << " shards"
-            << (options.shards == 0 ? " (auto)" : "") << ", " << knob << "="
-            << measured_threads << ", " << duration << " s simulated\n";
+            << (options.shards == 0 ? " (auto)" : "") << ", lanes="
+            << measured_lanes << ", " << duration << " s simulated\n";
   {
     const lanes::LookaheadAnalysis analysis =
         analyze_lookahead(params, options);
@@ -212,17 +186,13 @@ int main(int argc, char** argv) {
     const std::string name = to_string(framework);
     std::cout << "\n  == " << name << " / " << topology << " ==\n";
 
-    const auto run_cell = [&](std::size_t threads, CellReport& cell,
+    const auto run_cell = [&](std::size_t lanes, CellReport& cell,
                               ScalingRunResult* chain_out,
                               GraphRunResult* graph_out) {
       LanedRunOptions cell_options = options;
-      if (tiered) {
-        cell_options.tier_lanes = threads;
-      } else {
-        cell_options.lanes = threads;
-      }
-      cell_options.base.context.set_label(name + "/" + knob +
-                                          std::to_string(threads));
+      cell_options.lanes = lanes;
+      cell_options.base.context.set_label(name + "/lanes" +
+                                          std::to_string(lanes));
       const auto start =
           std::chrono::steady_clock::now();  // detlint: allow(banned-api) real-time measurement only
       if (topology == "chain") {
@@ -241,13 +211,12 @@ int main(int argc, char** argv) {
       cell.wall_seconds = seconds_since(start);
     };
 
-    const auto dump_cell = [&](std::size_t threads,
+    const auto dump_cell = [&](std::size_t lanes,
                                const ScalingRunResult& chain_result,
                                const GraphRunResult& graph_result) {
       if (env.csv_dir.empty()) return;
       const std::string stem = "scale_" + topology + "_" + framework.name +
-                               "_" + (tiered ? "tlanes" : "lanes") +
-                               std::to_string(threads);
+                               "_lanes" + std::to_string(lanes);
       if (topology == "chain") {
         env.maybe_dump(stem, chain_result);
       } else {
@@ -261,23 +230,17 @@ int main(int argc, char** argv) {
     ScalingRunResult laned_chain, serial_chain;
     GraphRunResult laned_graph, serial_graph;
     CellReport laned_cell, serial_cell;
-    run_cell(measured_threads, laned_cell, &laned_chain, &laned_graph);
-    const std::string laned_label =
-        knob + "=" + std::to_string(measured_threads) +
-        (tiered ? " [" + lanes::to_string(laned_cell.info.protocol) + ", " +
-                      laned_cell.info.placement + "]"
-                : "");
-    print_cell(laned_label, laned_cell);
-    dump_cell(measured_threads, laned_chain, laned_graph);
-    append_summary(env.csv_dir, topology, framework.name, mode,
-                   measured_threads, laned_cell);
+    run_cell(measured_lanes, laned_cell, &laned_chain, &laned_graph);
+    print_cell("lanes=" + std::to_string(measured_lanes), laned_cell);
+    dump_cell(measured_lanes, laned_chain, laned_graph);
+    append_summary(env.csv_dir, topology, framework.name, measured_lanes,
+                   laned_cell);
 
     if (!compare) continue;
     run_cell(1, serial_cell, &serial_chain, &serial_graph);
-    print_cell(knob + "=1", serial_cell);
+    print_cell("lanes=1", serial_cell);
     dump_cell(1, serial_chain, serial_graph);
-    append_summary(env.csv_dir, topology, framework.name, mode, 1,
-                   serial_cell);
+    append_summary(env.csv_dir, topology, framework.name, 1, serial_cell);
 
     std::string diff;
     const bool identical =
@@ -286,12 +249,11 @@ int main(int argc, char** argv) {
             : graph_results_equivalent(laned_graph, serial_graph, &diff);
     if (!identical) {
       all_identical = false;
-      std::cout << "  DETERMINISM VIOLATION (" << knob << "="
-                << measured_threads << " vs " << knob << "=1): " << diff
-                << "\n";
+      std::cout << "  DETERMINISM VIOLATION (lanes=" << measured_lanes
+                << " vs lanes=1): " << diff << "\n";
     } else {
-      std::cout << "  determinism: " << knob << "=" << measured_threads
-                << " == " << knob << "=1 (bit-identical)\n";
+      std::cout << "  determinism: lanes=" << measured_lanes
+                << " == lanes=1 (bit-identical)\n";
     }
     if (laned_cell.wall_seconds > 0.0) {
       std::cout << "  speedup: " << std::fixed << std::setprecision(2)

@@ -7,23 +7,6 @@ namespace conscale {
 NTierSystem::NTierSystem(Simulation& sim, SystemConfig config,
                          const RunContext* context)
     : sim_(sim), ctx_(context ? context : &RunContext::global()) {
-  build(std::move(config), nullptr, nullptr);
-}
-
-NTierSystem::NTierSystem(lanes::LaneEngine& engine, SystemConfig config,
-                         const TierLaneLayout& layout,
-                         const RunContext* context)
-    : sim_(engine.lane(layout.control_lane).sim()),
-      ctx_(context ? context : &RunContext::global()) {
-  if (layout.lane_of_tier.size() != config.tiers.size()) {
-    throw std::invalid_argument(
-        "NTierSystem: layout.lane_of_tier must match tier count");
-  }
-  build(std::move(config), &engine, &layout);
-}
-
-void NTierSystem::build(SystemConfig config, lanes::LaneEngine* engine,
-                        const TierLaneLayout* layout) {
   if (config.tiers.empty()) {
     throw std::invalid_argument("NTierSystem: no tiers configured");
   }
@@ -31,66 +14,32 @@ void NTierSystem::build(SystemConfig config, lanes::LaneEngine* engine,
     throw std::invalid_argument(
         "NTierSystem: initial_vms must match tier count");
   }
-  if (config.lan_delay < 0.0) {
-    throw std::invalid_argument("NTierSystem: lan_delay must be >= 0");
-  }
-  const std::size_t n = config.tiers.size();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < config.tiers.size(); ++i) {
     TierConfig tc = config.tiers[i];
     tc.tier_index = static_cast<int>(i);
-    Simulation& tier_sim =
-        engine ? engine->lane(layout->lane_of_tier[i]).sim() : sim_;
-    tier_sims_.push_back(&tier_sim);
-    tiers_.push_back(std::make_unique<TierGroup>(tier_sim, tc, ctx_));
+    tiers_.push_back(std::make_unique<TierGroup>(sim_, tc, ctx_));
   }
-  if (engine) tier_lane_ = layout->lane_of_tier;
-  // Wire tier i's servers to dispatch into tier i+1's load balancer across
-  // the LAN hop. The factory form lets TierGroup hand the same wiring to
-  // VMs created later by scale-out; lan_delay = 0 (serial default) makes
-  // the channel a direct dispatch, byte-identical to the pre-hop wiring.
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    if (engine) {
-      channels_.push_back(std::make_unique<TierChannel>(
-          *engine, layout->lane_of_tier[i], layout->lane_of_tier[i + 1],
-          tiers_[i + 1]->lb(), config.lan_delay));
-    } else {
-      channels_.push_back(std::make_unique<TierChannel>(
-          sim_, tiers_[i + 1]->lb(), config.lan_delay));
-    }
-    TierChannel* channel = channels_.back().get();
-    tiers_[i]->set_downstream_factory(
-        [channel]() { return channel->downstream(); });
+  // Wire tier i's servers to dispatch into tier i+1's load balancer. The
+  // factory form lets TierGroup hand the same wiring to VMs created later
+  // by scale-out.
+  for (std::size_t i = 0; i + 1 < tiers_.size(); ++i) {
+    LoadBalancer* next_lb = &tiers_[i + 1]->lb();
+    tiers_[i]->set_downstream_factory([next_lb]() {
+      return [next_lb](const RequestContext& ctx,
+                       Server::Completion done) {
+        next_lb->dispatch(ctx, std::move(done));
+      };
+    });
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (engine) {
-      const std::size_t lane = layout->lane_of_tier[i];
-      if (lane != layout->control_lane && !(config.lan_delay > 0.0)) {
-        throw std::invalid_argument(
-            "NTierSystem: cross-lane tiers need lan_delay > 0 (the "
-            "vm-ready hop to the control lane has no lookahead otherwise)");
-      }
-      notifiers_.push_back(std::make_unique<VmReadyNotifier>(
-          *engine, lane, layout->control_lane, config.lan_delay,
-          [this, i](Vm& vm) {
-            for (auto& callback : on_vm_ready_) callback(i, vm);
-          }));
-      VmReadyNotifier* notifier = notifiers_.back().get();
-      tiers_[i]->set_vm_ready_callback(
-          [notifier](Vm& vm) { notifier->notify(vm); });
-    } else {
-      tiers_[i]->set_vm_ready_callback([this, i](Vm& vm) {
-        for (auto& callback : on_vm_ready_) callback(i, vm);
-      });
-    }
+  for (std::size_t i = 0; i < tiers_.size(); ++i) {
+    tiers_[i]->set_vm_ready_callback([this, i](Vm& vm) {
+      for (auto& callback : on_vm_ready_) callback(i, vm);
+    });
   }
   // Bootstrap after wiring so even time-zero VMs get their downstream set.
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < tiers_.size(); ++i) {
     tiers_[i]->bootstrap(config.initial_vms[i]);
   }
-}
-
-Simulation& NTierSystem::tier_sim(std::size_t index) {
-  return *tier_sims_[index];
 }
 
 void NTierSystem::submit(const RequestContext& ctx,

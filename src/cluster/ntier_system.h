@@ -5,12 +5,6 @@
 // manipulate the tiers through the TierSystem interface. The linear chain
 // is the trivial service graph (see src/topology/service_graph.h for the
 // DAG generalization).
-//
-// Every tier->tier edge is a TierChannel carrying `config.lan_delay` of
-// network latency (the paper's LAN hop). The default of 0 degenerates to
-// the direct in-process dispatch every pre-hop result was measured with; a
-// positive delay is what opens the lookahead window that lets the laned
-// constructor place each tier on its own lane (DESIGN.md §6.6).
 #pragma once
 
 #include <functional>
@@ -18,11 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "cluster/tier_channel.h"
 #include "cluster/tier_group.h"
 #include "cluster/tier_system.h"
 #include "common/run_context.h"
-#include "simcore/lanes/lane_engine.h"
 #include "simcore/simulation.h"
 #include "workload/request.h"
 
@@ -33,9 +25,6 @@ struct SystemConfig {
   /// Initial number of VMs per tier (the paper's #Web/#App/#DB notation;
   /// e.g. {1,1,1} for the 1/1/1 topology). Must match tiers.size().
   std::vector<std::size_t> initial_vms;
-  /// LAN hop on every tier->tier edge (each direction; seconds). 0 keeps
-  /// the direct dispatch wiring. Must be > 0 for cross-lane placements.
-  SimDuration lan_delay = 0.0;
 };
 
 class NTierSystem final : public TierSystem {
@@ -44,16 +33,6 @@ class NTierSystem final : public TierSystem {
   /// owning run (see common/run_context.h); pass the run's context when
   /// several systems share the process. It must outlive the system.
   NTierSystem(Simulation& sim, SystemConfig config,
-              const RunContext* context = nullptr);
-
-  /// Lane-partitioned construction: tier i lives on lane
-  /// `layout.lane_of_tier[i]`'s Simulation, adjacent tiers talk through
-  /// cross-lane TierChannels (which requires `config.lan_delay > 0` for
-  /// every cross-lane edge), and vm-ready signals are forwarded to
-  /// `layout.control_lane`. The caller must declare the matching engine
-  /// channels and submit() only from the front tier's lane.
-  NTierSystem(lanes::LaneEngine& engine, SystemConfig config,
-              const TierLaneLayout& layout,
               const RunContext* context = nullptr);
 
   const RunContext& context() const override { return *ctx_; }
@@ -67,26 +46,12 @@ class NTierSystem final : public TierSystem {
     return *tiers_[index];
   }
 
-  /// The lane hosting tier `index` (always 0 for serial construction).
-  std::size_t tier_lane(std::size_t index) const {
-    return tier_lane_.empty() ? 0 : tier_lane_[index];
-  }
-  /// The Simulation hosting tier `index` (the shared sim when serial).
-  Simulation& tier_sim(std::size_t index);
-
   void add_vm_ready_callback(VmReadyCallback callback) override;
 
  private:
-  void build(SystemConfig config, lanes::LaneEngine* engine,
-             const TierLaneLayout* layout);
-
   Simulation& sim_;
   const RunContext* ctx_;
   std::vector<std::unique_ptr<TierGroup>> tiers_;
-  std::vector<Simulation*> tier_sims_;
-  std::vector<std::size_t> tier_lane_;  ///< empty when serial
-  std::vector<std::unique_ptr<TierChannel>> channels_;
-  std::vector<std::unique_ptr<VmReadyNotifier>> notifiers_;
   std::vector<VmReadyCallback> on_vm_ready_;
 };
 

@@ -9,29 +9,11 @@
 
 #include "cluster/lane_gateway.h"
 #include "metrics/shard_stats.h"
-#include "simcore/lanes/placement.h"
 #include "workload/session_shard.h"
 
 namespace conscale {
 
 namespace {
-
-/// The cell map of one laned run. For the client-edge layout only `cells`
-/// is meaningful (everything else keeps its zero default: system on lane 0,
-/// shards round-robin via shard_lane). For the tier-laned layout it carries
-/// the full placement: cell 0 = control plane, cells 1..C = tier clusters
-/// from TierLanePlacement, cells C+1.. = one per session shard.
-struct CellPlan {
-  bool tiered = false;
-  TierLaneLayout layout;  ///< tier -> cell, control on cell 0
-  /// Distinct tier->tier edges (both directions implied), tier indices.
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  std::size_t cells = 1;
-  std::size_t entry_cell = 0;       ///< gateway + front tier
-  std::size_t first_shard_cell = 0; ///< shard j lives on first_shard_cell + j
-  std::size_t shard_count = 0;
-  std::string summary;
-};
 
 std::size_t resolve_shard_count(const ScenarioParams& params,
                                 const LanedRunOptions& options,
@@ -45,107 +27,11 @@ std::size_t resolve_shard_count(const ScenarioParams& params,
                          params.think_time);
 }
 
-/// Packs the tiers into cells and lays the full cell map out around them.
-CellPlan plan_tier_cells(const std::vector<std::string>& names,
-                         const std::vector<double>& weights,
-                         std::vector<std::pair<std::size_t, std::size_t>> edges,
-                         SimDuration lan_delay, std::size_t shard_count) {
-  lanes::TierLanePlacement placement;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    placement.add_node(names[i], weights[i]);
-  }
-  for (const auto& edge : edges) {
-    placement.add_edge(edge.first, edge.second, lan_delay);
-  }
-  const lanes::LanePlan plan = placement.plan(/*min_cut_delay=*/lan_delay);
-
-  CellPlan cp;
-  cp.tiered = true;
-  cp.layout.control_lane = 0;
-  cp.layout.lane_of_tier.reserve(names.size());
-  for (std::size_t lane : plan.lane_of) {
-    cp.layout.lane_of_tier.push_back(1 + lane);
-  }
-  cp.edges = std::move(edges);
-  cp.entry_cell = cp.layout.lane_of_tier.front();
-  cp.first_shard_cell = 1 + plan.lane_count;
-  cp.shard_count = shard_count;
-  cp.cells = cp.first_shard_cell + shard_count;
-  cp.summary = "control + " + plan.summary(names) + " + " +
-               std::to_string(shard_count) + " shard cell(s)";
-  return cp;
-}
-
-/// Declares every engine channel a tier-laned run posts across: the LAN hop
-/// on each cross-cell tier edge (both directions), the vm-ready hop from
-/// each tier cell to the control cell, and the client network between the
-/// entry cell and every shard cell. declare_channel keeps the minimum on
-/// re-declaration, so duplicate edges are harmless.
-void declare_cell_channels(lanes::LaneEngine& engine, const CellPlan& cp,
-                           SimDuration lan_delay, SimDuration net_delay) {
-  for (const auto& edge : cp.edges) {
-    const std::size_t from = cp.layout.lane_of_tier[edge.first];
-    const std::size_t to = cp.layout.lane_of_tier[edge.second];
-    if (from == to) continue;
-    engine.declare_channel(from, to, lan_delay);
-    engine.declare_channel(to, from, lan_delay);
-  }
-  for (std::size_t cell : cp.layout.lane_of_tier) {
-    if (cell != cp.layout.control_lane) {
-      engine.declare_channel(cell, cp.layout.control_lane, lan_delay);
-    }
-  }
-  for (std::size_t j = 0; j < cp.shard_count; ++j) {
-    const std::size_t cell = cp.first_shard_cell + j;
-    engine.declare_channel(cp.entry_cell, cell, net_delay);
-    engine.declare_channel(cell, cp.entry_cell, net_delay);
-  }
-}
-
-lanes::LaneEngine::Options make_engine_options(
-    const lanes::LookaheadAnalysis& analysis, const LanedRunOptions& options,
-    const CellPlan& cp) {
-  lanes::LaneEngine::Options eo;
-  eo.lanes = cp.cells;
-  eo.lookahead = analysis.window();
-  if (!cp.tiered) return eo;  // client-edge layout: lanes == threads, TW
-  eo.threads = options.tier_lanes;
-  switch (options.protocol) {
-    case LanedRunOptions::ProtocolChoice::kTimeWindow:
-      eo.protocol = lanes::LaneEngine::Protocol::kTimeWindow;
-      break;
-    case LanedRunOptions::ProtocolChoice::kNullMessage:
-      eo.protocol = lanes::LaneEngine::Protocol::kNullMessage;
-      break;
-    case LanedRunOptions::ProtocolChoice::kAuto:
-      eo.protocol = analysis.recommended();
-      break;
-  }
-  // Anti-flood floor: half a window. Suppressing sub-floor EOT advances
-  // caps null traffic without affecting results (scheduling-only, see
-  // lane_engine.h) — the rescue pass re-announces when a lane would starve.
-  eo.null_floor = 0.5 * analysis.window();
-  eo.serialize_lane0 = true;
-  return eo;
-}
-
 void validate_options(const char* who, const LanedRunOptions& options) {
   if (options.base.session_workload) {
     throw std::invalid_argument(std::string(who) +
                                 ": session workloads are not supported on "
                                 "lanes");
-  }
-  if (options.tier_lanes > 0) {
-    if (!options.base.faults.empty()) {
-      throw std::invalid_argument(
-          std::string(who) +
-          ": fault plans are not supported with tier_lanes (the injector "
-          "mutates tier internals from the control cell without a channel)");
-    }
-    if (!(options.lan_delay > 0.0)) {
-      throw std::invalid_argument(std::string(who) +
-                                  ": tier_lanes needs lan_delay > 0");
-    }
   }
 }
 
@@ -172,8 +58,7 @@ void validate_net_delay(const lanes::LookaheadAnalysis& analysis,
 std::vector<std::unique_ptr<SessionShard>> make_shards(
     lanes::LaneEngine& engine, const ScenarioParams& params,
     const WorkloadTrace& trace, const RequestMix& mix, LaneGateway& gateway,
-    const LanedRunOptions& options, const CellPlan& cp) {
-  const std::size_t shard_count = cp.shard_count;
+    const LanedRunOptions& options, std::size_t shard_count) {
   Rng seeder(params.seed ^ 0xc11e);
   std::vector<std::unique_ptr<SessionShard>> shards;
   shards.reserve(shard_count);
@@ -182,11 +67,9 @@ std::vector<std::unique_ptr<SessionShard>> make_shards(
     sp.think_time_mean = params.think_time;
     sp.seed = seeder.next();
     sp.net_delay = options.net_delay;
-    const std::size_t cell = cp.tiered ? cp.first_shard_cell + i
-                                       : shard_lane(i, engine.lane_count());
     shards.push_back(std::make_unique<SessionShard>(
-        engine, cell, i, shard_count, trace, mix, gateway,
-        /*gateway_lane=*/cp.entry_cell, sp));
+        engine, shard_lane(i, engine.lane_count()), i, shard_count, trace,
+        mix, gateway, /*gateway_lane=*/0, sp));
   }
   return shards;
 }
@@ -213,7 +96,6 @@ void fill_client_stats(ScalingRunResult& run,
 
 void fill_info(LaneRunInfo* info, const lanes::LaneEngine& engine,
                const lanes::LookaheadAnalysis& analysis,
-               const LanedRunOptions& options, const CellPlan& cp,
                bool shards_autotuned,
                const std::vector<std::unique_ptr<SessionShard>>& shards) {
   if (!info) return;
@@ -223,13 +105,10 @@ void fill_info(LaneRunInfo* info, const lanes::LaneEngine& engine,
   }
   info->stats = engine.stats();
   info->lookahead = engine.lookahead();
-  info->protocol = engine.protocol();
   info->lookahead_summary = analysis.summary();
   info->lanes = engine.lane_count();
-  info->threads = cp.tiered ? options.tier_lanes : engine.lane_count();
-  info->shards = cp.shard_count;
+  info->shards = shards.size();
   info->shards_autotuned = shards_autotuned;
-  info->placement = cp.summary;
 }
 
 }  // namespace
@@ -248,20 +127,11 @@ lanes::LookaheadAnalysis analyze_lookahead(const ScenarioParams& params,
                                            const LanedRunOptions& options) {
   lanes::LookaheadAnalysis analysis;
   // The client<->frontend network, both directions — the only cross-lane
-  // delay of the client-edge layout, and the widest channel of the
-  // tier-laned one.
+  // delay of the partition.
   analysis.add_source("client->frontend net", options.net_delay, true);
   analysis.add_source("frontend->client net", options.net_delay, true);
-  if (options.tier_lanes > 0) {
-    // Tier-laned: the LAN hop is a channel too. It is the minimum, so it
-    // bounds the window; the net/LAN skew is what flips the recommendation
-    // to null messages (per-channel bounds let the client edge run ahead of
-    // the tight tier ring — see lookahead.h).
-    analysis.add_source("tier->tier LAN hop", options.lan_delay, true);
-    analysis.add_source("vm-ready LAN hop", options.lan_delay, true);
-  }
-  // Documented slack that never crosses a lane boundary: the scaling loop
-  // stays local to the control lane.
+  // Documented slack that never crosses a lane boundary: lane 0 keeps the
+  // whole scaling loop local.
   analysis.add_source("vm prep delay", params.vm_prep_delay, false);
   analysis.add_source("monitoring coarse period",
                       options.base.monitoring.coarse_period, false);
@@ -292,54 +162,22 @@ ScalingRunResult run_scaling_laned(const ScenarioParams& params,
       resolve_shard_count(params, options, &shards_autotuned);
   const lanes::LookaheadAnalysis analysis = analyze_lookahead(params, options);
 
-  SystemConfig sys_config = params.system_config();
-  CellPlan cp;
-  if (options.tier_lanes > 0) {
-    sys_config.lan_delay = options.lan_delay;
-    std::vector<std::string> names;
-    std::vector<double> weights;
-    std::vector<std::pair<std::size_t, std::size_t>> edges;
-    for (std::size_t i = 0; i < sys_config.tiers.size(); ++i) {
-      names.push_back(sys_config.tiers[i].name);
-      weights.push_back(static_cast<double>(sys_config.initial_vms[i]));
-      if (i + 1 < sys_config.tiers.size()) edges.emplace_back(i, i + 1);
-    }
-    cp = plan_tier_cells(names, weights, std::move(edges), options.lan_delay,
-                         shard_count);
-  } else {
-    cp.cells = std::max<std::size_t>(options.lanes, 1);
-    cp.shard_count = shard_count;
-  }
-
-  lanes::LaneEngine engine(make_engine_options(analysis, options, cp));
-  if (cp.tiered) {
-    declare_cell_channels(engine, cp, options.lan_delay, options.net_delay);
-  }
+  lanes::LaneEngine engine({options.lanes, analysis.window()});
   Simulation& sim = engine.lane(0).sim();
 
   // From here the assembly mirrors run_scaling: same construction order,
-  // same seed derivations, so control-lane state is identical run to run.
+  // same seed derivations, so lane-0 state is identical run to run.
   RequestMix mix = params.make_mix();
   if (options.base.runtime_dataset_scale != 1.0) {
     mix.apply_dataset_scale(options.base.runtime_dataset_scale);
   }
 
   const RunContext* ctx = &options.base.context;
-  std::unique_ptr<NTierSystem> system_ptr =
-      cp.tiered ? std::make_unique<NTierSystem>(engine, sys_config, cp.layout,
-                                                ctx)
-                : std::make_unique<NTierSystem>(sim, sys_config, ctx);
-  NTierSystem& system = *system_ptr;
+  NTierSystem system(sim, params.system_config(), ctx);
   auto warehouse = std::make_shared<MetricsWarehouse>();
   MonitoringParams monitoring = options.base.monitoring;
   monitoring.fine_period *= params.work_scale;
   MonitoringAgent monitor(sim, system, *warehouse, monitoring, ctx);
-  if (cp.tiered) {
-    monitor.set_tier_sim_resolver(
-        [&system](std::size_t tier) -> Simulation& {
-          return system.tier_sim(tier);
-        });
-  }
 
   FrameworkConfig config = options.base.framework_config
                                ? *options.base.framework_config
@@ -358,8 +196,7 @@ ScalingRunResult run_scaling_laned(const ScenarioParams& params,
       };
   LaneGateway::Params gateway_params;
   gateway_params.net_delay = options.net_delay;
-  LaneGateway gateway(engine, cp.entry_cell, std::move(submit),
-                      gateway_params);
+  LaneGateway gateway(engine, /*lane=*/0, std::move(submit), gateway_params);
   validate_net_delay(analysis, gateway);
   gateway.set_completion_hook(
       [&monitor](SimTime issued, double rt, const RequestClass&) {
@@ -369,7 +206,7 @@ ScalingRunResult run_scaling_laned(const ScenarioParams& params,
       [&monitor](SimTime at) { monitor.on_client_rejection(at); });
 
   const auto shards =
-      make_shards(engine, params, trace, mix, gateway, options, cp);
+      make_shards(engine, params, trace, mix, gateway, options, shard_count);
 
   std::unique_ptr<FaultInjector> injector;
   if (!options.base.faults.empty()) {
@@ -403,7 +240,7 @@ ScalingRunResult run_scaling_laned(const ScenarioParams& params,
     result.dropped_samples = warehouse->dropped_samples();
   }
   result.warehouse = std::move(warehouse);
-  fill_info(info, engine, analysis, options, cp, shards_autotuned, shards);
+  fill_info(info, engine, analysis, shards_autotuned, shards);
   return result;
 }
 
@@ -433,34 +270,7 @@ GraphRunResult run_graph_scaling_laned(const GraphScenario& scenario,
   const lanes::LookaheadAnalysis analysis =
       analyze_lookahead(scenario.base, options);
 
-  topology::ServiceGraphConfig graph_config = scenario.graph;
-  CellPlan cp;
-  if (options.tier_lanes > 0) {
-    graph_config.lan_delay = options.lan_delay;
-    std::vector<std::string> names;
-    std::vector<double> weights;
-    std::vector<std::pair<std::size_t, std::size_t>> edges;
-    for (std::size_t i = 0; i < graph_config.nodes.size(); ++i) {
-      const topology::GraphNodeConfig& node = graph_config.nodes[i];
-      names.push_back(node.tier.name);
-      weights.push_back(static_cast<double>(node.initial_vms));
-      for (const topology::RouteStage& stage : node.route) {
-        for (const topology::GraphCall& call : stage.calls) {
-          edges.emplace_back(i, call.node);
-        }
-      }
-    }
-    cp = plan_tier_cells(names, weights, std::move(edges), options.lan_delay,
-                         shard_count);
-  } else {
-    cp.cells = std::max<std::size_t>(options.lanes, 1);
-    cp.shard_count = shard_count;
-  }
-
-  lanes::LaneEngine engine(make_engine_options(analysis, options, cp));
-  if (cp.tiered) {
-    declare_cell_channels(engine, cp, options.lan_delay, options.net_delay);
-  }
+  lanes::LaneEngine engine({options.lanes, analysis.window()});
   Simulation& sim = engine.lane(0).sim();
 
   RequestMix mix = scenario.mix;
@@ -469,22 +279,11 @@ GraphRunResult run_graph_scaling_laned(const GraphScenario& scenario,
   }
 
   const RunContext* ctx = &options.base.context;
-  std::unique_ptr<topology::ServiceGraph> system_ptr =
-      cp.tiered ? std::make_unique<topology::ServiceGraph>(
-                      engine, graph_config, cp.layout, ctx)
-                : std::make_unique<topology::ServiceGraph>(sim, graph_config,
-                                                           ctx);
-  topology::ServiceGraph& system = *system_ptr;
+  topology::ServiceGraph system(sim, scenario.graph, ctx);
   auto warehouse = std::make_shared<MetricsWarehouse>();
   MonitoringParams monitoring = options.base.monitoring;
   monitoring.fine_period *= scenario.base.work_scale;
   MonitoringAgent monitor(sim, system, *warehouse, monitoring, ctx);
-  if (cp.tiered) {
-    monitor.set_tier_sim_resolver(
-        [&system](std::size_t tier) -> Simulation& {
-          return system.tier_sim(tier);
-        });
-  }
 
   FrameworkConfig config = options.base.framework_config
                                ? *options.base.framework_config
@@ -500,8 +299,7 @@ GraphRunResult run_graph_scaling_laned(const GraphScenario& scenario,
       };
   LaneGateway::Params gateway_params;
   gateway_params.net_delay = options.net_delay;
-  LaneGateway gateway(engine, cp.entry_cell, std::move(submit),
-                      gateway_params);
+  LaneGateway gateway(engine, /*lane=*/0, std::move(submit), gateway_params);
   validate_net_delay(analysis, gateway);
   gateway.set_completion_hook(
       [&monitor](SimTime issued, double rt, const RequestClass&) {
@@ -511,7 +309,8 @@ GraphRunResult run_graph_scaling_laned(const GraphScenario& scenario,
       [&monitor](SimTime at) { monitor.on_client_rejection(at); });
 
   const auto shards =
-      make_shards(engine, scenario.base, trace, mix, gateway, options, cp);
+      make_shards(engine, scenario.base, trace, mix, gateway, options,
+                  shard_count);
 
   std::unique_ptr<FaultInjector> injector;
   if (!options.base.faults.empty()) {
@@ -549,13 +348,13 @@ GraphRunResult run_graph_scaling_laned(const GraphScenario& scenario,
 
   result.admission = system.admission_stats();
   for (std::size_t i = 0; i < system.tier_count(); ++i) {
-    if (graph_config.nodes[i].cache.enabled) {
+    if (scenario.graph.nodes[i].cache.enabled) {
       result.caches.emplace_back(system.tier(i).name(),
                                  system.cache_stats(i));
     }
   }
   result.node_latency = breakdown.by_tier();
-  fill_info(info, engine, analysis, options, cp, shards_autotuned, shards);
+  fill_info(info, engine, analysis, shards_autotuned, shards);
   return result;
 }
 

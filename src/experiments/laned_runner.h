@@ -1,32 +1,22 @@
 // Laned experiment runners: run_scaling / run_graph_scaling executed on the
 // lane-partitioned PDES engine (src/simcore/lanes/, DESIGN.md §6.6).
 //
-// Two placements share these entry points:
+// Partitioning: lane 0 hosts the entire serving system — NTierSystem or
+// topology::ServiceGraph, warehouse, monitor, scaling framework, fault
+// injector — completely unchanged, so every registry controller runs
+// unmodified. The closed-loop session population is what gets parallel:
+// it is split into `shards` SessionShards placed round-robin on the worker
+// lanes, talking to a LaneGateway on lane 0 across the client<->frontend
+// network channel. That channel's latency is the lookahead that makes the
+// partition safe; the inter-tier hops have no natural delay, so the client
+// edge is the only cut.
 //
-//  * Client-edge partitioning (tier_lanes == 0, the original layout): lane 0
-//    hosts the entire serving system — NTierSystem or topology::ServiceGraph,
-//    warehouse, monitor, scaling framework, fault injector — completely
-//    unchanged, so every registry controller runs unmodified. The closed-loop
-//    session population is what gets parallel: it is split into `shards`
-//    SessionShards placed round-robin on the worker lanes, talking to a
-//    LaneGateway on lane 0 across the client<->frontend network channel.
-//
-//  * Tier-laned partitioning (tier_lanes > 0): the serving system itself is
-//    cut. Cell 0 carries only the control plane (warehouse, monitor coarse
-//    poll, scaling framework); TierLanePlacement packs the tiers into cells
-//    joined by explicit LAN-hop channels (`lan_delay` per direction); each
-//    session shard gets its own cell behind the client network channel. The
-//    cell layout is a pure function of the model config, and `tier_lanes`
-//    sets ONLY the worker thread count — so tier_lanes=1 and tier_lanes=K
-//    are byte-identical under either synchronization protocol. The engine
-//    serializes instants where cell 0 acts, which is what lets controllers
-//    keep calling scale_out()/scale_in() directly on remote tiers.
-//
-// Determinism contract: `lanes` / `tier_lanes` control thread placement
-// only; results are pinned byte-identical across thread counts by
-// tests/experiments/lane_determinism_test and the CI bench_scale smoke.
-// `shards`, by contrast, is a model parameter — changing it re-partitions
-// the session population and legitimately changes RNG consumption.
+// Determinism contract: `lanes` controls thread placement only. lanes=1 and
+// lanes=K execute the identical keyed event sequence, so their results are
+// byte-identical (pinned by tests/experiments/lane_determinism_test and the
+// CI bench_scale smoke). `shards`, by contrast, is a model parameter —
+// changing it re-partitions the session population and legitimately
+// changes RNG consumption.
 #pragma once
 
 #include <cstddef>
@@ -42,36 +32,20 @@ namespace conscale {
 struct LanedRunOptions {
   /// Everything run_scaling accepts (duration, monitoring, framework
   /// overrides, faults, context). session_workload is not supported on the
-  /// laned path (throws std::invalid_argument), and fault plans are not
-  /// supported with tier_lanes > 0 (the injector mutates tier internals
-  /// from lane 0 without a channel).
+  /// laned path (throws std::invalid_argument).
   ScalingRunOptions base;
-  /// Event-loop partitions for the client-edge layout. 1 = serial reference
+  /// Event-loop partitions, one worker thread each. 1 = serial reference
   /// execution (zero threads, same window schedule). Results are
-  /// independent of this value. Ignored when tier_lanes > 0.
+  /// independent of this value.
   std::size_t lanes = 1;
-  /// Session-population partitions. Fixed independently of the thread count
-  /// so the model (and its RNG consumption) does not change with it.
+  /// Session-population partitions. Fixed independently of `lanes` so the
+  /// model (and its RNG consumption) does not change with the thread count.
   /// 0 = autotune from the scenario's peak sessions and think time (see
   /// autotune_shards); the chosen plan is reported in LaneRunInfo.
   std::size_t shards = 12;
-  /// Client<->frontend one-way network latency — the client channel delay.
+  /// Client<->frontend one-way network latency — the cross-lane channel
+  /// delay and therefore the engine's lookahead window.
   SimDuration net_delay = 0.05;
-  /// Tier-laned mode switch and worker thread count: 0 keeps the
-  /// client-edge layout; K > 0 partitions the system into cells (control /
-  /// tier clusters / shards) executed by K threads. The cell layout never
-  /// depends on K.
-  std::size_t tier_lanes = 0;
-  /// Inter-tier LAN hop (each direction) in tier-laned mode — every
-  /// tier->tier edge and the tier->control vm-ready signal crosses it, and
-  /// it bounds the lookahead window. Must be > 0 when tier_lanes > 0.
-  SimDuration lan_delay = 0.010;
-  /// Synchronization protocol for tier-laned runs. kAuto defers to the
-  /// LookaheadAnalysis skew rule (uniform channels -> time windows, skewed
-  /// -> null messages). Ignored when tier_lanes == 0 (the client-edge
-  /// layout has uniform channels and always uses time windows).
-  enum class ProtocolChoice { kAuto, kTimeWindow, kNullMessage };
-  ProtocolChoice protocol = ProtocolChoice::kAuto;
 };
 
 /// Execution report of a laned run (not part of the determinism-compared
@@ -79,19 +53,11 @@ struct LanedRunOptions {
 struct LaneRunInfo {
   lanes::LaneEngineStats stats;
   SimDuration lookahead = 0.0;
-  /// The protocol the engine actually ran (after any override).
-  lanes::LookaheadAnalysis::Protocol protocol =
-      lanes::LookaheadAnalysis::Protocol::kTimeWindow;
   std::string lookahead_summary;
-  /// Engine partitions (cells in tier-laned mode).
   std::size_t lanes = 0;
-  /// Worker threads executing them (== lanes in the client-edge layout).
-  std::size_t threads = 0;
   std::size_t shards = 0;
   /// True when `shards == 0` selected the count via autotune_shards.
   bool shards_autotuned = false;
-  /// Human-readable cell map of a tier-laned run (empty otherwise).
-  std::string placement;
   /// Sessions still alive across every shard when the run ended (the
   /// bench_scale "concurrent sessions" figure).
   std::uint64_t active_sessions = 0;
@@ -136,11 +102,9 @@ GraphRunResult run_graph_scaling_laned(const GraphScenario& scenario,
                                        LaneRunInfo* info = nullptr);
 
 /// The lookahead analysis a laned run performs before constructing the
-/// engine, exposed for tests and bench_scale's banner. Client-edge layout:
-/// the client channel (both directions) bounds the window; VM prep delay
-/// and the monitoring coarse period are documented as non-channel slack.
-/// Tier-laned layout: the LAN hop joins as a channel (it then bounds the
-/// window), and the net/LAN skew drives the protocol recommendation.
+/// engine, exposed for tests and bench_scale's banner: the client channel
+/// (both directions) bounds the window; VM prep delay and the monitoring
+/// coarse period are documented as non-channel slack.
 lanes::LookaheadAnalysis analyze_lookahead(const ScenarioParams& params,
                                            const LanedRunOptions& options);
 

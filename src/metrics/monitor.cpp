@@ -11,17 +11,15 @@ MonitoringAgent::MonitoringAgent(Simulation& sim, TierSystem& system,
       ctx_(context ? context : &RunContext::global()), warehouse_(warehouse),
       params_(params) {
   system_.add_vm_ready_callback(
-      [this](std::size_t tier_index, Vm& vm) { attach(tier_index, vm); });
+      [this](std::size_t, Vm& vm) { attach(vm); });
   coarse_task_ = std::make_unique<PeriodicTask>(
       sim_, params_.coarse_period, [this](SimTime now) { coarse_tick(now); });
 }
 
-void MonitoringAgent::attach(std::size_t tier_index, Vm& vm) {
+void MonitoringAgent::attach(Vm& vm) {
   if (!attached_.insert(vm.name()).second) return;  // restarted VM
-  Simulation& host_sim =
-      tier_sim_resolver_ ? tier_sim_resolver_(tier_index) : sim_;
   auto aggregator = std::make_unique<IntervalAggregator>(
-      host_sim, vm.server(), params_.fine_period);
+      sim_, vm.server(), params_.fine_period);
   // Intern the series once at attach; every 50 ms ingest is then an index.
   const MetricsWarehouse::SeriesId id = warehouse_.server_id(vm.name());
   aggregator->start([this, id](const IntervalSample& sample) {

@@ -6,7 +6,6 @@
 // in the MetricsWarehouse.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -36,16 +35,6 @@ class MonitoringAgent {
                   MetricsWarehouse& warehouse, Params params = {},
                   const RunContext* context = nullptr);
 
-  /// Lane-partitioned runs: resolves the Simulation hosting a tier, so each
-  /// per-VM IntervalAggregator ticks on the tier's own lane (its samples
-  /// land in per-series warehouse vectors no other lane touches). Must be
-  /// set before the run starts; unset, every aggregator uses the agent's
-  /// sim — the serial behavior.
-  using TierSimResolver = std::function<Simulation&(std::size_t)>;
-  void set_tier_sim_resolver(TierSimResolver resolver) {
-    tier_sim_resolver_ = std::move(resolver);
-  }
-
   /// Wire this to the client population's completion hook.
   void on_client_completion(SimTime issued, double rt);
   /// Wire this to the client population's rejection hook (admission
@@ -60,7 +49,7 @@ class MonitoringAgent {
   std::uint64_t hook_underflows() const;
 
  private:
-  void attach(std::size_t tier_index, Vm& vm);
+  void attach(Vm& vm);
   void coarse_tick(SimTime now);
 
   Simulation& sim_;
@@ -68,7 +57,6 @@ class MonitoringAgent {
   const RunContext* ctx_;
   MetricsWarehouse& warehouse_;
   Params params_;
-  TierSimResolver tier_sim_resolver_;
   std::vector<std::unique_ptr<IntervalAggregator>> aggregators_;
   /// Servers already wired. A restarted VM fires vm-ready again with the
   /// same server; attaching twice would double-count its samples.

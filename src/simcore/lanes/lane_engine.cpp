@@ -23,33 +23,18 @@ bool later_delivery(const LaneMessage& a, const LaneMessage& b) {
 
 }  // namespace
 
-LaneEngine::LaneEngine(Options options)
-    : lookahead_(options.lookahead),
-      protocol_(options.protocol),
-      null_floor_(options.null_floor),
-      serialize_lane0_(options.serialize_lane0) {
+LaneEngine::LaneEngine(Options options) : lookahead_(options.lookahead) {
   if (options.lanes == 0) options.lanes = 1;
   if (!(lookahead_ > 0.0)) {
     throw std::invalid_argument(
         "LaneEngine: lookahead must be > 0 (conservative synchronization "
         "needs a positive cross-lane delay floor)");
   }
-  if (null_floor_ < 0.0) {
-    throw std::invalid_argument("LaneEngine: null_floor must be >= 0");
-  }
-  thread_count_ = options.threads == 0
-                      ? options.lanes
-                      : std::min(options.threads, options.lanes);
-  if (thread_count_ == 0) thread_count_ = 1;
   lanes_.reserve(options.lanes);
   for (std::size_t i = 0; i < options.lanes; ++i) {
     lanes_.push_back(std::make_unique<Lane>(i));
   }
   pending_.resize(options.lanes);
-  channels_from_.resize(options.lanes);
-  channels_to_.resize(options.lanes);
-  activity_.resize(options.lanes, kInf);
-  bounds_.resize(options.lanes, 0.0);
   worker_errors_.resize(options.lanes);
 }
 
@@ -62,79 +47,20 @@ LaneEngine::~LaneEngine() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void LaneEngine::declare_channel(std::size_t from, std::size_t to,
-                                 SimDuration min_delay) {
-  if (from >= lanes_.size() || to >= lanes_.size()) {
-    throw std::out_of_range("LaneEngine::declare_channel: no such lane");
-  }
-  if (from == to) {
-    throw std::invalid_argument(
-        "LaneEngine::declare_channel: self-channels are implicit (same-lane "
-        "scheduling needs no channel)");
-  }
-  if (!(min_delay > 0.0)) {
-    throw std::invalid_argument(
-        "LaneEngine::declare_channel: min_delay must be > 0");
-  }
-  for (const std::size_t index : channels_from_[from]) {
-    Channel& existing = channels_[index];
-    if (existing.to == to) {
-      existing.min_delay = std::min(existing.min_delay, min_delay);
-      return;
-    }
-  }
-  const std::size_t index = channels_.size();
-  channels_.push_back(Channel{from, to, min_delay, -kInf});
-  channels_from_[from].push_back(index);
-  channels_to_[to].push_back(index);
-  fresh_eot_.resize(channels_.size(), -kInf);
-}
-
 void LaneEngine::post(std::size_t from, std::size_t dest,
                       SimTime deliver_time, std::uint64_t stream,
                       std::uint64_t seq, EventCallback fn) {
   if (dest >= lanes_.size()) {
     throw std::out_of_range("LaneEngine::post: no such destination lane");
   }
-  if (!channels_.empty()) {
-    const Channel* channel = nullptr;
-    for (const std::size_t index : channels_from_[from]) {
-      if (channels_[index].to == dest) {
-        channel = &channels_[index];
-        break;
-      }
-    }
-    if (channel == nullptr) {
-      std::ostringstream what;
-      what << "LaneEngine::post: lane " << from << " -> " << dest
-           << " has no declared channel (stream " << stream << ", seq " << seq
-           << ") — every cross-lane edge must be declared once any is";
-      throw std::runtime_error(what.str());
-    }
-    // fl(now + d) is monotone in d, so a conforming post (delay >= declared
-    // minimum) always passes this check exactly — no epsilon needed.
-    const SimTime min_deliver =
-        lanes_[from]->sim().now() + channel->min_delay;
-    if (deliver_time < min_deliver) {
-      std::ostringstream what;
-      what << "LaneEngine::post: lane " << from << " -> " << dest
-           << " lookahead violation: message (stream " << stream << ", seq "
-           << seq << ") delivers at " << deliver_time
-           << " but the channel guarantees >= " << min_deliver
-           << " (declared min delay " << channel->min_delay << ")";
-      throw std::runtime_error(what.str());
-    }
-  }
   lanes_[from]->outbox_.push_back(
       LaneMessage{deliver_time, stream, seq, dest, std::move(fn)});
 }
 
 void LaneEngine::start_workers() {
-  const std::size_t pool =
-      std::min(thread_count_, lanes_.size());
-  if (!workers_.empty() || pool <= 1) return;
-  workers_.reserve(pool - 1);
-  for (std::size_t i = 1; i < pool; ++i) {
+  if (!workers_.empty() || lanes_.size() <= 1) return;
+  workers_.reserve(lanes_.size() - 1);
+  for (std::size_t i = 1; i < lanes_.size(); ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -160,16 +86,15 @@ void LaneEngine::worker_loop() {
 
 void LaneEngine::drain_work_queue() {
   // Work-pulling: each participating thread (workers + the coordinator)
-  // claims the next (lane, bound) pair. Which thread runs a lane is
-  // unobservable — lanes are causally closed within a round.
+  // claims the next active lane. Which thread runs a lane is unobservable —
+  // lanes are causally closed within a round.
   for (;;) {
     const std::size_t index =
         work_cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= round_work_.size()) return;
-    const std::size_t lane_index = round_work_[index].first;
-    const SimTime bound = round_work_[index].second;
+    if (index >= round_lanes_.size()) return;
+    const std::size_t lane_index = round_lanes_[index];
     try {
-      lanes_[lane_index]->sim().run_before(bound);
+      lanes_[lane_index]->sim().run_before(round_bound_);
     } catch (...) {
       worker_errors_[lane_index] = std::current_exception();
     }
@@ -207,9 +132,7 @@ void LaneEngine::deliver_pending(std::size_t dest, SimTime bound) {
 void LaneEngine::collect_outboxes(SimTime check_bound) {
   for (const std::unique_ptr<Lane>& lane : lanes_) {
     for (LaneMessage& message : lane->outbox_) {
-      // With declared channels the post() path already validated per-channel
-      // lookahead; without them the global window is the only contract.
-      if (channels_.empty() && message.deliver_time < check_bound) {
+      if (message.deliver_time < check_bound) {
         std::ostringstream what;
         what << "lane " << lane->index() << " lookahead violation: message "
              << "(stream " << message.stream << ", seq " << message.seq
@@ -229,188 +152,63 @@ void LaneEngine::collect_outboxes(SimTime check_bound) {
   }
 }
 
-void LaneEngine::run_serial_instant(SimTime t0, SimTime bound) {
-  // Drain every lane through the instant on the coordinator thread, lane 0
-  // first. Clocks are normalized to t0 so control-plane code that directly
-  // calls into another lane's components (scale-out, warehouse queries)
-  // observes the same `now` a single-threaded run would — and the same one
-  // under either protocol, since the instant set {t0} is round-structure
-  // independent.
-  for (;;) {
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+void LaneEngine::run_round(SimTime t_all) {
+  const SimTime bound = std::min(t_all + lookahead_, end_bound_);
+  round_lanes_.clear();
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    if (next_activity(i) < bound) {
+      round_lanes_.push_back(i);
       deliver_pending(i, bound);
-      lanes_[i]->sim().advance_to(t0);
-      lanes_[i]->sim().run_before(bound);
     }
-    collect_outboxes(bound);
-    // A lane-0 event may have scheduled follow-ups at t0 on other lanes (or
-    // vice versa through a zero-delay direct call); sweep until quiescent.
-    bool again = false;
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if (next_activity(i) < bound) {
-        again = true;
-        break;
-      }
+  }
+  if (round_lanes_.size() == 1 || workers_.empty()) {
+    // Solo fast path: a round with one active lane (or a single-lane
+    // engine) needs no barrier round-trip — run inline on the coordinator.
+    if (round_lanes_.size() == 1) ++stats_.solo_rounds;
+    for (const std::size_t lane_index : round_lanes_) {
+      lanes_[lane_index]->sim().run_before(bound);
     }
-    if (!again) return;
-  }
-}
-
-void LaneEngine::compute_bounds(SimTime t_all, SimTime cap) {
-  if (protocol_ == Protocol::kTimeWindow || channels_.empty()) {
-    const SimTime bound = std::min(t_all + lookahead_, cap);
-    for (std::size_t i = 0; i < lanes_.size(); ++i) bounds_[i] = bound;
-    return;
-  }
-  // Null-message protocol (CMB). Pass 1: refresh each channel's earliest
-  // output time. A channel's source can act at its own next event OR at the
-  // arrival of a message another lane could still send it, so the sound EOT
-  // is the fixed point
-  //
-  //   eot[c] = min(activity[src(c)], min over channels c' into src(c) of
-  //                eot[c']) + delay[c]
-  //
-  // iterated downward from +inf. The result is the minimum over simple
-  // paths ending in c of (path-source activity + total path delay): cycles
-  // only add positive delay, so the iteration is stable after at most one
-  // sweep per lane. Crucially this value never *decreases* across rounds —
-  // a lane woken by a message inherits the (activity + delay) budget of its
-  // waker, which the previous round's paths already included — so the
-  // monotone announcement layer below stays sound even for lanes that were
-  // idle (EOT +inf) and later receive work.
-  for (std::size_t c = 0; c < channels_.size(); ++c) fresh_eot_[c] = kInf;
-  for (std::size_t sweep = 0; sweep < lanes_.size(); ++sweep) {
-    bool changed = false;
-    for (std::size_t c = 0; c < channels_.size(); ++c) {
-      SimTime horizon = activity_[channels_[c].from];
-      for (const std::size_t in : channels_to_[channels_[c].from]) {
-        horizon = std::min(horizon, fresh_eot_[in]);
-      }
-      const SimTime value = horizon + channels_[c].min_delay;
-      if (value < fresh_eot_[c]) {
-        fresh_eot_[c] = value;
-        changed = true;
-      }
+  } else {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      round_bound_ = bound;
+      work_cursor_.store(0, std::memory_order_relaxed);
+      workers_running_ = workers_.size();
+      ++round_generation_;
     }
-    if (!changed) break;
-  }
-  // Announce only advances of at least the anti-flood floor. Suppression
-  // can only *delay* a bound, never relax it, so it affects scheduling but
-  // not results.
-  for (std::size_t c = 0; c < channels_.size(); ++c) {
-    if (fresh_eot_[c] > channels_[c].announced_eot) {
-      if (fresh_eot_[c] - channels_[c].announced_eot >= null_floor_) {
-        channels_[c].announced_eot = fresh_eot_[c];
-        ++stats_.nulls_announced;
-      } else {
-        ++stats_.nulls_suppressed;
+    start_cv_.notify_all();
+    drain_work_queue();
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      done_cv_.wait(lock, [&] { return workers_running_ == 0; });
+    }
+    for (std::exception_ptr& error : worker_errors_) {
+      if (error) {
+        const std::exception_ptr raised = std::exchange(error, nullptr);
+        std::rethrow_exception(raised);
       }
     }
   }
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    SimTime bound = cap;
-    for (const std::size_t c : channels_to_[i]) {
-      bound = std::min(bound, channels_[c].announced_eot);
-    }
-    bounds_[i] = bound;
-  }
-  // Pass 2: demand-driven announcements. A lane with work remaining but a
-  // bound at or below its next activity is starved by suppressed nulls;
-  // force-publish its in-channels' fresh EOTs. The global-minimum lane
-  // always ends up with bound >= t_all + min in-channel delay > t_all, so
-  // every round strictly advances the global clock — deadlock-free.
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    if (activity_[i] >= cap || bounds_[i] > activity_[i]) continue;
-    SimTime bound = cap;
-    for (const std::size_t c : channels_to_[i]) {
-      if (fresh_eot_[c] > channels_[c].announced_eot) {
-        channels_[c].announced_eot = fresh_eot_[c];
-        ++stats_.nulls_announced;
-        --stats_.nulls_suppressed;
-      }
-      bound = std::min(bound, channels_[c].announced_eot);
-    }
-    bounds_[i] = bound;
-  }
+  collect_outboxes(bound);
+  ++stats_.windows;
 }
 
 void LaneEngine::run(SimTime duration) {
-  if (protocol_ == Protocol::kNullMessage && channels_.empty()) {
-    throw std::runtime_error(
-        "LaneEngine: the null-message protocol needs declared channels "
-        "(declare_channel) to derive per-pair bounds");
-  }
   // Events scheduled at exactly `duration` must execute (run_until
   // semantics), so the final exclusive bound is the next double above it.
   end_bound_ =
       std::nextafter(duration, std::numeric_limits<SimTime>::infinity());
-  for (Channel& channel : channels_) channel.announced_eot = -kInf;
   start_workers();
   // Messages posted during model construction (before any round) enter the
-  // routing heaps here; deliver_time >= 0 + channel delay, nothing is due.
+  // routing heaps here; deliver_time >= 0 + lookahead, nothing is due.
   collect_outboxes(0.0);
   for (;;) {
     SimTime t_all = kInf;
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      activity_[i] = next_activity(i);
-      t_all = std::min(t_all, activity_[i]);
+      t_all = std::min(t_all, next_activity(i));
     }
     if (t_all >= end_bound_) break;
-    const SimTime t0 = serialize_lane0_ ? activity_[0] : kInf;
-    if (t0 <= t_all) {
-      const SimTime bound = std::min(
-          std::nextafter(t0, std::numeric_limits<SimTime>::infinity()),
-          end_bound_);
-      run_serial_instant(t0, bound);
-      ++stats_.windows;
-      ++stats_.serial_rounds;
-      continue;
-    }
-    const SimTime cap = std::min(end_bound_, t0);
-    compute_bounds(t_all, cap);
-    round_work_.clear();
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if (activity_[i] < bounds_[i]) {
-        round_work_.emplace_back(i, bounds_[i]);
-        deliver_pending(i, bounds_[i]);
-      }
-    }
-    if (round_work_.empty()) {
-      // compute_bounds guarantees the global-minimum lane is runnable;
-      // reaching here means the protocol state is corrupt.
-      throw std::runtime_error(
-          "LaneEngine: no lane runnable below its bound — synchronization "
-          "state is inconsistent");
-    }
-    if (round_work_.size() == 1 || workers_.empty()) {
-      // Solo fast path: a round with one active lane (or a single-threaded
-      // pool) needs no barrier round-trip — run inline on the coordinator.
-      if (round_work_.size() == 1) ++stats_.solo_rounds;
-      for (const std::pair<std::size_t, SimTime>& work : round_work_) {
-        lanes_[work.first]->sim().run_before(work.second);
-      }
-    } else {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        work_cursor_.store(0, std::memory_order_relaxed);
-        workers_running_ = workers_.size();
-        ++round_generation_;
-      }
-      start_cv_.notify_all();
-      drain_work_queue();
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, [&] { return workers_running_ == 0; });
-      }
-      for (std::exception_ptr& error : worker_errors_) {
-        if (error) {
-          const std::exception_ptr raised = std::exchange(error, nullptr);
-          std::rethrow_exception(raised);
-        }
-      }
-    }
-    collect_outboxes(std::min(t_all + lookahead_, cap));
-    ++stats_.windows;
+    run_round(t_all);
   }
   stats_.events = 0;
   for (const std::unique_ptr<Lane>& lane : lanes_) {

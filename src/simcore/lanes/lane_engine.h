@@ -3,56 +3,36 @@
 // One run's event loop is partitioned into `lanes` — each lane owns a full
 // Simulation (its own event arena, queue and clock: the arena sharding) and
 // hosts a disjoint set of model components. Lanes interact only through
-// timestamped inter-lane messages carrying at least the channel's declared
-// lookahead of delay. The engine repeats conservative rounds under one of
-// two synchronization protocols:
+// timestamped inter-lane messages carrying at least the model's lookahead
+// window `L` of delay (the client<->frontend network latency in the laned
+// runners). The engine repeats a time-window barrier round:
 //
-//   time-window    1. t_all = earliest activity anywhere
-//                  2. bound = min(t_all + L, end) with L the global window
-//                  3. deliver messages due before the bound as keyed events
-//                  4. every lane with work below the bound runs in parallel
-//   null-message   per-channel bounds (Chandy–Misra–Bryant): every declared
-//                  channel (j -> i, delay L_c) announces an earliest-output
-//                  time. The sound EOT is conditional on j's own inputs —
-//                  the fixed point eot[c] = min(na_j, min in-channel eots of
-//                  j) + L_c (na_j = lane j's earliest activity), i.e. the
-//                  minimum over message paths ending in c of path-source
-//                  activity plus total path delay. Lane i may run to the min
-//                  announced EOT over its in-channels. Announcements are
-//                  demand-driven with an anti-flood floor: a fresh EOT is
-//                  published only when it advances the previous announcement
-//                  by at least the floor, or when a starved lane (bound <=
-//                  na, work remaining) demands it. See DESIGN.md §6.6 for
-//                  the deadlock-avoidance argument (the floor delays bounds,
-//                  never results).
+//   1. t_all = earliest activity anywhere (lane events + pending messages)
+//   2. bound = min(t_all + L, end)
+//   3. deliver every pending message with deliver_time < bound into its
+//      destination lane as a *keyed* event
+//   4. every lane with work below the bound runs it — in parallel, or
+//      inline on the coordinator when only one lane is active
+//   5. collect the messages each lane posted; any with deliver_time < bound
+//      is a lookahead violation (the model sent with delay < L) and throws
 //
-// Safety (both protocols): a message posted at send >= na with delay >= L
-// delivers at >= na + L >= every bound derived from na + L (floating-point
-// addition is monotone), so nothing a lane does inside a round can affect
-// any lane's same round — each lane's round execution is causally closed.
+// Safety: a message posted at send >= t_all with delay >= L delivers at
+// send+delay >= t_all+L >= bound (floating-point addition is monotone), so
+// nothing a lane does inside a round can affect that same round — each
+// lane's round execution is causally closed.
 //
-// Serialized control lane (tier-laned placements): when
-// `options.serialize_lane0` is set, lane 0 hosts the control plane
-// (controllers, agents, monitor coarse tick, warehouse queries) whose events
-// *directly* read and mutate state owned by other lanes. The engine never
-// runs lane 0 concurrently: every parallel bound is capped at t0 (lane 0's
-// earliest activity), and when the global minimum reaches t0 the engine runs
-// a *serial instant* — every lane's clock is advanced to t0 and all lanes
-// are drained through bound nextafter(t0) on the coordinator thread, lane 0
-// first, until quiescent. Control code therefore executes exactly as in a
-// single-threaded run: all events before t0 everywhere have completed, every
-// clock reads t0, and the round barrier's mutex gives the happens-before
-// edge that makes the cross-lane reads race-free.
-//
-// Determinism (the K-threads vs 1-thread bit-for-bit contract): the
-// partition (which component lives on which lane) is a *model* parameter and
-// `threads` only sets worker-pool width. Within one Simulation, keyed events
-// execute in (time, stream, seq) order regardless of which round delivered
-// them; across Simulations, same-time events belong to non-interacting
-// components except at serial instants, which run in fixed lane order on one
-// thread. Round structure — window sizes, protocol, solo fast paths — can
-// change *when* an event runs but never its key order, so results are
-// invariant to both the thread count and the synchronization protocol.
+// Determinism (the lanes=1 vs lanes=K bit-for-bit contract): every lane
+// actor schedules its events and stamps its messages with a canonical
+// (time, stream, seq) key — the stream id is globally unique per actor and
+// the seq a per-actor counter, so keys never depend on which lane (or how
+// many lanes) the actor landed in. Within one Simulation, keyed events
+// execute in key order regardless of which round delivered them; across
+// Simulations, same-time events belong to non-interacting components
+// (interaction = a message, and messages carry their origin's canonical
+// key), so their relative order is unobservable. Round structure — window
+// sizes, solo fast paths — can change *when* an event runs but never its
+// key order, so a run with K=1 replays the exact same state evolution byte
+// for byte, with zero threads.
 #pragma once
 
 #include <atomic>
@@ -65,7 +45,6 @@
 #include <vector>
 
 #include "common/time_units.h"
-#include "simcore/lanes/lookahead.h"
 #include "simcore/simulation.h"
 
 namespace conscale::lanes {
@@ -83,13 +62,10 @@ struct LaneMessage {
 };
 
 struct LaneEngineStats {
-  std::uint64_t windows = 0;       ///< rounds executed (all kinds)
-  std::uint64_t messages = 0;      ///< cross-lane messages routed
-  std::uint64_t events = 0;        ///< events executed, summed over lanes
-  std::uint64_t serial_rounds = 0; ///< control-lane serial instants
-  std::uint64_t solo_rounds = 0;   ///< rounds with <=1 active lane (no barrier)
-  std::uint64_t nulls_announced = 0;   ///< CMB: channel EOT announcements
-  std::uint64_t nulls_suppressed = 0;  ///< CMB: announcements under the floor
+  std::uint64_t windows = 0;      ///< rounds executed
+  std::uint64_t messages = 0;     ///< cross-lane messages routed
+  std::uint64_t events = 0;       ///< events executed, summed over lanes
+  std::uint64_t solo_rounds = 0;  ///< rounds with one active lane (no barrier)
 };
 
 /// One partition of the run: a self-contained Simulation plus the outbox
@@ -114,28 +90,12 @@ class Lane {
 
 class LaneEngine {
  public:
-  using Protocol = LookaheadAnalysis::Protocol;
-
   struct Options {
     std::size_t lanes = 1;
-    /// The global synchronization window for the time-window protocol (and
-    /// the delay floor for undeclared-channel models): no cross-lane message
-    /// may carry less than this much delay. Must be > 0 — zero lookahead
-    /// admits no conservative parallelism.
+    /// The synchronization window: no cross-lane message may carry less
+    /// than this much delay. Must be > 0 — zero lookahead admits no
+    /// conservative parallelism.
     SimDuration lookahead = 0.0;
-    /// Worker-pool width. 0 means one thread per lane (the pre-placement
-    /// behavior). Lanes are a model parameter; threads are not — results
-    /// are identical for every value.
-    std::size_t threads = 0;
-    /// Synchronization protocol. kNullMessage requires declared channels.
-    Protocol protocol = Protocol::kTimeWindow;
-    /// CMB anti-flood floor: a channel re-announces its EOT only when it
-    /// advanced by at least this much (demanded announcements bypass the
-    /// floor). 0 disables suppression.
-    SimDuration null_floor = 0.0;
-    /// Serialize lane 0 (see header comment). Required whenever lane-0
-    /// events directly touch state owned by other lanes.
-    bool serialize_lane0 = false;
   };
 
   explicit LaneEngine(Options options);
@@ -146,15 +106,6 @@ class LaneEngine {
   std::size_t lane_count() const { return lanes_.size(); }
   Lane& lane(std::size_t index) { return *lanes_[index]; }
   SimDuration lookahead() const { return lookahead_; }
-  Protocol protocol() const { return protocol_; }
-
-  /// Declares a directed cross-lane channel with a guaranteed minimum model
-  /// delay. Once any channel is declared, *every* post must travel a
-  /// declared channel and carry at least its delay — validated at post time
-  /// (throws std::runtime_error). Redeclaring a pair keeps the minimum.
-  /// Channels also feed the null-message protocol's per-pair bounds.
-  /// Call before run(); self-channels (from == to) are rejected.
-  void declare_channel(std::size_t from, std::size_t to, SimDuration min_delay);
 
   /// Hands out the next globally-unique actor stream id (starts at 1; 0 is
   /// the plain-event group). Allocation order must be partition-independent:
@@ -163,9 +114,8 @@ class LaneEngine {
 
   /// Posts a message from `from` (which must be the lane currently
   /// executing, or any lane between rounds). `deliver_time` must be at
-  /// least the channel's declared delay in the future (validated here when
-  /// channels are declared, at the next barrier otherwise). Prefer
-  /// LaneActor::post.
+  /// least the lookahead window in the future (validated at the next
+  /// barrier). Prefer LaneActor::post.
   void post(std::size_t from, std::size_t dest, SimTime deliver_time,
             std::uint64_t stream, std::uint64_t seq, EventCallback fn);
 
@@ -178,17 +128,8 @@ class LaneEngine {
   const LaneEngineStats& stats() const { return stats_; }
 
  private:
-  struct Channel {
-    std::size_t from = 0;
-    std::size_t to = 0;
-    SimDuration min_delay = 0.0;
-    SimTime announced_eot = 0.0;  // initialized to -inf before run()
-  };
-
   void start_workers();
-  void run_round();
-  void run_serial_instant(SimTime t0, SimTime bound);
-  void compute_bounds(SimTime t_all, SimTime cap);
+  void run_round(SimTime t_all);
   void deliver_pending(std::size_t dest, SimTime bound);
   void collect_outboxes(SimTime check_bound);
   void worker_loop();
@@ -196,23 +137,11 @@ class LaneEngine {
   SimTime next_activity(std::size_t lane_index);
 
   SimDuration lookahead_;
-  Protocol protocol_;
-  SimDuration null_floor_;
-  bool serialize_lane0_;
-  std::size_t thread_count_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::uint64_t next_stream_ = 1;
   /// Per-destination min-heaps (by deliver_time) of routed-but-undelivered
   /// messages. Only the coordinator touches them, always between rounds.
   std::vector<std::vector<LaneMessage>> pending_;
-  std::vector<Channel> channels_;
-  /// Channel indices by endpoint, for post validation and CMB bounds.
-  std::vector<std::vector<std::size_t>> channels_from_;
-  std::vector<std::vector<std::size_t>> channels_to_;
-  /// Scratch, reused every round (sized lanes / channels once).
-  std::vector<SimTime> activity_;
-  std::vector<SimTime> bounds_;
-  std::vector<SimTime> fresh_eot_;
   SimTime end_bound_ = 0.0;
   LaneEngineStats stats_;
 
@@ -221,10 +150,11 @@ class LaneEngine {
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
   std::uint64_t round_generation_ = 0;
-  /// (lane, bound) pairs for the current parallel round; written by the
+  /// The current round's active lanes and shared bound; written by the
   /// coordinator under the mutex before the generation bump, read by
   /// workers after observing it.
-  std::vector<std::pair<std::size_t, SimTime>> round_work_;
+  std::vector<std::size_t> round_lanes_;
+  SimTime round_bound_ = 0.0;
   std::atomic<std::size_t> work_cursor_{0};
   std::size_t workers_running_ = 0;
   bool shutdown_ = false;

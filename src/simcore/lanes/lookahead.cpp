@@ -22,34 +22,6 @@ SimDuration LookaheadAnalysis::window() const {
   return any ? min_delay : 0.0;
 }
 
-double LookaheadAnalysis::channel_skew() const {
-  SimDuration min_delay = std::numeric_limits<SimDuration>::infinity();
-  SimDuration max_delay = 0.0;
-  bool any = false;
-  for (const LookaheadSource& source : sources_) {
-    if (!source.is_channel || source.delay <= 0.0) continue;
-    any = true;
-    if (source.delay < min_delay) min_delay = source.delay;
-    if (source.delay > max_delay) max_delay = source.delay;
-  }
-  return any ? max_delay / min_delay : 1.0;
-}
-
-LookaheadAnalysis::Protocol LookaheadAnalysis::recommended(
-    double skew_threshold) const {
-  // Uniform channels: a global time window already runs every lane at its
-  // individual pairwise bound, so the simpler barrier wins. Strong skew is
-  // the only regime where per-pair null messages buy extra parallelism.
-  return channel_skew() <= skew_threshold ? Protocol::kTimeWindow
-                                          : Protocol::kNullMessage;
-}
-
-std::string to_string(LookaheadAnalysis::Protocol protocol) {
-  return protocol == LookaheadAnalysis::Protocol::kTimeWindow
-             ? "time-window barrier"
-             : "null-message";
-}
-
 std::string LookaheadAnalysis::summary() const {
   std::ostringstream out;
   out << "lookahead sources:\n";
@@ -57,8 +29,7 @@ std::string LookaheadAnalysis::summary() const {
     out << "  " << source.name << " = " << source.delay << " s"
         << (source.is_channel ? " (channel)" : " (slack)") << "\n";
   }
-  out << "window = " << window() << " s, channel skew = " << channel_skew()
-      << "x -> protocol: " << to_string(recommended()) << "\n";
+  out << "window = " << window() << " s\n";
   return out.str();
 }
 

@@ -4,20 +4,9 @@
 // other lane will send it a message "from the past". The proof currency is
 // *lookahead*: the minimum model delay on every cross-lane channel. This
 // module collects the model's natural delays (client<->frontend network
-// latency, VM preparation/boot delay, monitoring periods), derives the safe
-// synchronization window, and recommends a barrier protocol:
-//
-//   kTimeWindow    one global window of length min-channel-delay per round;
-//                  every lane runs [W, W+L) in parallel, messages created in
-//                  the window deliver at >= W+L by construction. Optimal when
-//                  channel delays are near-uniform (a star topology where
-//                  every channel has the same latency loses nothing to the
-//                  global min) — which is exactly the shape of this model's
-//                  profitable cut (session shards <-> system gateway).
-//   kNullMessage   per-pair lookahead via Chandy-Misra-Bryant null messages.
-//                  Pays off only when delays are strongly skewed, so distant
-//                  lane pairs can run far ahead of the global min; costs a
-//                  null-message flood on low-lookahead pairs.
+// latency, VM preparation/boot delay, monitoring periods) and derives the
+// safe time-window length: every lane runs [W, W+L) in parallel, and
+// messages created in the window deliver at >= W+L by construction.
 #pragma once
 
 #include <string>
@@ -39,20 +28,11 @@ struct LookaheadSource {
 
 class LookaheadAnalysis {
  public:
-  enum class Protocol { kTimeWindow, kNullMessage };
-
   void add_source(std::string name, SimDuration delay, bool is_channel = true);
 
   /// The safe synchronization window: the minimum positive channel delay,
   /// or 0 when no channel source was added (no safe parallel execution).
   SimDuration window() const;
-
-  /// Ratio of the largest to the smallest channel delay (1 when uniform).
-  double channel_skew() const;
-
-  /// Protocol choice: time-window barriers while channel delays are within
-  /// `skew_threshold` of each other, null messages beyond it (see header).
-  Protocol recommended(double skew_threshold = 4.0) const;
 
   const std::vector<LookaheadSource>& sources() const { return sources_; }
 
@@ -62,7 +42,5 @@ class LookaheadAnalysis {
  private:
   std::vector<LookaheadSource> sources_;
 };
-
-std::string to_string(LookaheadAnalysis::Protocol protocol);
 
 }  // namespace conscale::lanes

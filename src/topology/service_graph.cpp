@@ -96,40 +96,11 @@ void ServiceGraph::validate(const ServiceGraphConfig& config) const {
   }
 }
 
-namespace {
-constexpr std::size_t kNoChannel = static_cast<std::size_t>(-1);
-}  // namespace
-
 ServiceGraph::ServiceGraph(Simulation& sim, ServiceGraphConfig config,
                            const RunContext* context)
     : sim_(sim), ctx_(context ? context : &RunContext::global()),
       config_(std::move(config)) {
-  build(nullptr, nullptr);
-}
-
-ServiceGraph::ServiceGraph(lanes::LaneEngine& engine,
-                           ServiceGraphConfig config,
-                           const TierLaneLayout& layout,
-                           const RunContext* context)
-    : sim_(engine.lane(config.nodes.empty()
-                           ? layout.control_lane
-                           : layout.lane_of_tier.front())
-               .sim()),
-      ctx_(context ? context : &RunContext::global()),
-      config_(std::move(config)) {
-  if (layout.lane_of_tier.size() != config_.nodes.size()) {
-    throw std::invalid_argument(
-        "ServiceGraph: layout.lane_of_tier must match node count");
-  }
-  build(&engine, &layout);
-}
-
-void ServiceGraph::build(lanes::LaneEngine* engine,
-                         const TierLaneLayout* layout) {
   validate(config_);
-  if (config_.lan_delay < 0.0) {
-    throw std::invalid_argument("ServiceGraph: lan_delay must be >= 0");
-  }
   const std::size_t n = config_.nodes.size();
   cache_stats_.resize(n);
   cache_rngs_.reserve(n);
@@ -140,34 +111,7 @@ void ServiceGraph::build(lanes::LaneEngine* engine,
                              (0x9e3779b97f4a7c15ULL * (i + 1)));
     TierConfig tc = config_.nodes[i].tier;
     tc.tier_index = static_cast<int>(i);
-    Simulation& node_sim =
-        engine ? engine->lane(layout->lane_of_tier[i]).sim() : sim_;
-    node_sims_.push_back(&node_sim);
-    tiers_.push_back(std::make_unique<TierGroup>(node_sim, tc, ctx_));
-  }
-  if (engine) node_lane_ = layout->lane_of_tier;
-  // One TierChannel per distinct route edge, built in route order so actor
-  // stream allocation is layout-independent. lan_delay = 0 (serial default)
-  // makes every channel a direct dispatch — byte-identical to the pre-hop
-  // wiring, including the single-call linear-equivalence contract.
-  edge_channel_.assign(n * n, kNoChannel);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const RouteStage& stage : config_.nodes[i].route) {
-      for (const GraphCall& call : stage.calls) {
-        std::size_t& slot = edge_channel_[i * n + call.node];
-        if (slot != kNoChannel) continue;
-        slot = channels_.size();
-        if (engine) {
-          channels_.push_back(std::make_unique<TierChannel>(
-              *engine, layout->lane_of_tier[i],
-              layout->lane_of_tier[call.node], tiers_[call.node]->lb(),
-              config_.lan_delay));
-        } else {
-          channels_.push_back(std::make_unique<TierChannel>(
-              sim_, tiers_[call.node]->lb(), config_.lan_delay));
-        }
-      }
-    }
+    tiers_.push_back(std::make_unique<TierGroup>(sim_, tc, ctx_));
   }
   // Wire each routing node's servers to the graph router. Leaf nodes with no
   // cache keep a null downstream, exactly like the chain's last tier.
@@ -178,9 +122,7 @@ void ServiceGraph::build(lanes::LaneEngine* engine,
       return [this, i](const RequestContext& ctx, Server::Completion done) {
         const CacheModel& cache = config_.nodes[i].cache;
         if (cache.enabled) {
-          // The draw clock is the node's own sim — identical to the run
-          // clock when serial, the hosting lane's clock when partitioned.
-          const double h = cache.hit_ratio_at(node_sims_[i]->now());
+          const double h = cache.hit_ratio_at(sim_.now());
           if (cache_rngs_[i].bernoulli(h)) {
             ++cache_stats_[i].hits;
             done();  // hit: the whole subtree is short-circuited
@@ -193,38 +135,14 @@ void ServiceGraph::build(lanes::LaneEngine* engine,
     });
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (engine) {
-      const std::size_t lane = layout->lane_of_tier[i];
-      if (lane != layout->control_lane && !(config_.lan_delay > 0.0)) {
-        throw std::invalid_argument(
-            "ServiceGraph: cross-lane nodes need lan_delay > 0 (the "
-            "vm-ready hop to the control lane has no lookahead otherwise)");
-      }
-      notifiers_.push_back(std::make_unique<VmReadyNotifier>(
-          *engine, lane, layout->control_lane, config_.lan_delay,
-          [this, i](Vm& vm) {
-            for (auto& callback : on_vm_ready_) callback(i, vm);
-          }));
-      VmReadyNotifier* notifier = notifiers_.back().get();
-      tiers_[i]->set_vm_ready_callback(
-          [notifier](Vm& vm) { notifier->notify(vm); });
-    } else {
-      tiers_[i]->set_vm_ready_callback([this, i](Vm& vm) {
-        for (auto& callback : on_vm_ready_) callback(i, vm);
-      });
-    }
+    tiers_[i]->set_vm_ready_callback([this, i](Vm& vm) {
+      for (auto& callback : on_vm_ready_) callback(i, vm);
+    });
   }
   // Bootstrap after wiring so even time-zero VMs get their downstream set.
   for (std::size_t i = 0; i < n; ++i) {
     tiers_[i]->bootstrap(config_.nodes[i].initial_vms);
   }
-}
-
-void ServiceGraph::dispatch_call(std::size_t from, std::size_t to,
-                                 const RequestContext& ctx,
-                                 Server::Completion done) {
-  const std::size_t slot = edge_channel_[from * config_.nodes.size() + to];
-  channels_[slot]->dispatch(ctx, std::move(done));
 }
 
 void ServiceGraph::run_route(std::size_t node_index, const RequestContext& ctx,
@@ -252,7 +170,7 @@ void ServiceGraph::run_route(std::size_t node_index, const RequestContext& ctx,
   if (stage.calls.size() == 1) {
     // Sequential call: no join bookkeeping — this is the chain's downstream
     // dispatch verbatim (the linear-equivalence contract rides on it).
-    dispatch_call(node_index, stage.calls[0].node, ctx, std::move(next));
+    tiers_[stage.calls[0].node]->lb().dispatch(ctx, std::move(next));
     return;
   }
   // Parallel fan-out with join-on-all: the last reply continues the route.
@@ -264,7 +182,7 @@ void ServiceGraph::run_route(std::size_t node_index, const RequestContext& ctx,
   join->remaining = stage.calls.size();
   join->next = std::move(next);
   for (const GraphCall& call : stage.calls) {
-    dispatch_call(node_index, call.node, ctx, [join] {
+    tiers_[call.node]->lb().dispatch(ctx, [join] {
       if (--join->remaining == 0) join->next();
     });
   }

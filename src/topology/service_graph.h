@@ -31,12 +31,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "cluster/tier_channel.h"
 #include "cluster/tier_group.h"
 #include "cluster/tier_system.h"
 #include "common/rng.h"
 #include "common/run_context.h"
-#include "simcore/lanes/lane_engine.h"
 #include "simcore/simulation.h"
 #include "workload/request.h"
 
@@ -104,9 +102,6 @@ struct ServiceGraphConfig {
   std::vector<GraphNodeConfig> nodes;
   AdmissionPolicy admission;
   std::uint64_t seed = 1;  ///< cache hit/miss streams fork off this
-  /// LAN hop on every node->node edge (each direction; seconds). 0 keeps
-  /// the direct dispatch wiring. Must be > 0 for cross-lane placements.
-  SimDuration lan_delay = 0.0;
 };
 
 struct AdmissionStats {
@@ -131,16 +126,6 @@ class ServiceGraph final : public TierSystem {
   ServiceGraph(Simulation& sim, ServiceGraphConfig config,
                const RunContext* context = nullptr);
 
-  /// Lane-partitioned construction: node i lives on lane
-  /// `layout.lane_of_tier[i]`'s Simulation, every route edge crosses a
-  /// TierChannel (requiring `config.lan_delay > 0` on cross-lane edges),
-  /// and vm-ready signals are forwarded to `layout.control_lane`. The
-  /// caller must declare the matching engine channels and submit() only
-  /// from the entry node's lane.
-  ServiceGraph(lanes::LaneEngine& engine, ServiceGraphConfig config,
-               const TierLaneLayout& layout,
-               const RunContext* context = nullptr);
-
   const RunContext& context() const override { return *ctx_; }
 
   /// Client entry point. The continuation reports whether the request was
@@ -155,13 +140,6 @@ class ServiceGraph final : public TierSystem {
     return *tiers_[index];
   }
   void add_vm_ready_callback(VmReadyCallback callback) override;
-
-  /// The lane hosting node `index` (always 0 for serial construction).
-  std::size_t tier_lane(std::size_t index) const {
-    return node_lane_.empty() ? 0 : node_lane_[index];
-  }
-  /// The Simulation hosting node `index` (the shared sim when serial).
-  Simulation& tier_sim(std::size_t index) { return *node_sims_[index]; }
 
   // ---- Graph-specific observability ----
   const ServiceGraphConfig& config() const { return config_; }
@@ -181,25 +159,15 @@ class ServiceGraph final : public TierSystem {
   };
 
   void validate(const ServiceGraphConfig& config) const;
-  void build(lanes::LaneEngine* engine, const TierLaneLayout* layout);
   void run_route(std::size_t node, const RequestContext& ctx,
                  std::size_t stage, Server::Completion done);
-  /// Routes one call across the (from -> to) edge's TierChannel.
-  void dispatch_call(std::size_t from, std::size_t to,
-                     const RequestContext& ctx, Server::Completion done);
   bool admit();
   void prune_inflight();
 
-  Simulation& sim_;  ///< the entry node's sim (admission clock)
+  Simulation& sim_;
   const RunContext* ctx_;
   ServiceGraphConfig config_;
   std::vector<std::unique_ptr<TierGroup>> tiers_;
-  std::vector<Simulation*> node_sims_;
-  std::vector<std::size_t> node_lane_;  ///< empty when serial
-  std::vector<std::unique_ptr<TierChannel>> channels_;
-  /// Dense (from * n + to) -> channel index, or npos for absent edges.
-  std::vector<std::size_t> edge_channel_;
-  std::vector<std::unique_ptr<VmReadyNotifier>> notifiers_;
   std::vector<VmReadyCallback> on_vm_ready_;
   std::vector<Rng> cache_rngs_;          ///< per node (unused if no cache)
   std::vector<CacheStats> cache_stats_;  ///< per node

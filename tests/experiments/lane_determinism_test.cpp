@@ -144,140 +144,46 @@ TEST(LaneDeterminism, GraphLanes4MatchesLanes1ForEveryController) {
   }
 }
 
-// ---- tier-laned placements (ISSUE 10) -------------------------------------
-
-LanedRunOptions tier_laned_options(const ScenarioParams& params,
-                                   std::size_t tier_lanes,
-                                   LanedRunOptions::ProtocolChoice protocol) {
-  LanedRunOptions options;
-  options.base.duration = 60.0;
-  FrameworkConfig config = make_framework_config(params);
-  config.dcm_profile = train_dcm_profile_analytical(params);
-  options.base.framework_config = config;
-  options.tier_lanes = tier_lanes;
-  options.lan_delay = 0.010;
-  options.protocol = protocol;
-  return options;
-}
-
-TEST(TierLaneDeterminism, ChainThreads4MatchesThreads1BothProtocols) {
+TEST(LaneDeterminism, FaultPlansLanes4MatchLanes1OnChainAndGraph) {
+  // Faults act on lane 0 (crash, restart, monitoring dropout) while the
+  // shards keep issuing from the worker lanes; the lane count must still be
+  // invisible in the results.
   const ScenarioParams params = quick_params();
-  struct Cell {
-    std::string framework;
-    LanedRunOptions::ProtocolChoice protocol;
-    std::size_t threads;
-  };
-  std::vector<Cell> cells;
-  for (const std::string& framework : kAllControllers) {
-    for (const auto protocol : {LanedRunOptions::ProtocolChoice::kTimeWindow,
-                                LanedRunOptions::ProtocolChoice::kNullMessage}) {
-      cells.push_back({framework, protocol, 1});
-      cells.push_back({framework, protocol, 4});
+  const GraphScenario scenario = make_fanout_scenario(params);
+  const FaultPlan plan =
+      FaultPlan::parse("crash t=10 tier=1 vm=0 restart=10; drop t=20 dur=10");
+  const auto run = [&](std::size_t lanes, bool graph) {
+    LanedRunOptions options = laned_options(params, lanes);
+    options.base.faults = plan;
+    GraphRunResult result;
+    if (graph) {
+      options.base.framework_config.reset();
+      result = run_graph_scaling_laned(scenario, TraceKind::kBigSpike,
+                                       "conscale", options);
+    } else {
+      result.run = run_scaling_laned(params, TraceKind::kBigSpike,
+                                     "conscale", options);
     }
-  }
-  const auto results = parallel_map<ScalingRunResult>(
-      cells.size(), 4, [&](std::size_t i) {
-        return run_scaling_laned(
-            params, TraceKind::kBigSpike, cells[i].framework,
-            tier_laned_options(params, cells[i].threads, cells[i].protocol));
-      });
-  for (std::size_t i = 0; i < cells.size(); i += 2) {
-    SCOPED_TRACE(cells[i].framework + (cells[i].protocol ==
-                                               LanedRunOptions::
-                                                   ProtocolChoice::kTimeWindow
-                                           ? " (time-window)"
-                                           : " (null-message)"));
-    std::string diff;
-    EXPECT_TRUE(results_equivalent(results[i], results[i + 1], &diff))
-        << diff;
-    EXPECT_EQ(
-        render_chain("tier_chain_1_" + std::to_string(i), results[i]),
-        render_chain("tier_chain_4_" + std::to_string(i), results[i + 1]));
-    EXPECT_GT(results[i].requests_completed, 0u);
-  }
-}
-
-TEST(TierLaneDeterminism, GraphThreads4MatchesThreads1BothProtocols) {
-  const GraphScenario scenario = make_fanout_scenario(quick_params());
-  struct Cell {
-    std::string framework;
-    LanedRunOptions::ProtocolChoice protocol;
-    std::size_t threads;
+    return result;
   };
-  std::vector<Cell> cells;
-  for (const std::string& framework : kAllControllers) {
-    for (const auto protocol : {LanedRunOptions::ProtocolChoice::kTimeWindow,
-                                LanedRunOptions::ProtocolChoice::kNullMessage}) {
-      cells.push_back({framework, protocol, 1});
-      cells.push_back({framework, protocol, 4});
-    }
-  }
   const auto results = parallel_map<GraphRunResult>(
-      cells.size(), 4, [&](std::size_t i) {
-        LanedRunOptions options;
-        options.base.duration = 60.0;
-        options.tier_lanes = cells[i].threads;
-        options.protocol = cells[i].protocol;
-        return run_graph_scaling_laned(scenario, TraceKind::kBigSpike,
-                                       cells[i].framework, options);
-      });
-  for (std::size_t i = 0; i < cells.size(); i += 2) {
-    SCOPED_TRACE(cells[i].framework);
-    std::string diff;
-    EXPECT_TRUE(
-        graph_results_equivalent(results[i], results[i + 1], &diff))
-        << diff;
-    EXPECT_EQ(
-        render_graph("tier_dag_1_" + std::to_string(i), results[i]),
-        render_graph("tier_dag_4_" + std::to_string(i), results[i + 1]));
-    EXPECT_GT(results[i].run.requests_completed, 0u);
+      4, 4, [&](std::size_t i) { return run(i % 2 == 0 ? 1 : 4, i >= 2); });
+
+  std::string diff;
+  EXPECT_TRUE(results_equivalent(results[0].run, results[1].run, &diff))
+      << diff;
+  EXPECT_EQ(render_chain("lane_fault_chain_1", results[0].run),
+            render_chain("lane_fault_chain_4", results[1].run));
+  EXPECT_TRUE(graph_results_equivalent(results[2], results[3], &diff))
+      << diff;
+  EXPECT_EQ(render_graph("lane_fault_dag_1", results[2]),
+            render_graph("lane_fault_dag_4", results[3]));
+  for (const GraphRunResult& result : results) {
+    EXPECT_EQ(result.run.fault_stats.crashes_injected, 1u);
+    EXPECT_EQ(result.run.fault_stats.dropout_windows, 1u);
+    EXPECT_GT(result.run.dropped_samples, 0u);
+    EXPECT_GT(result.run.requests_completed, 0u);
   }
-}
-
-TEST(TierLaneDeterminism, TierLanedRunReportsPlanAndPicksNullMessages) {
-  const ScenarioParams params = quick_params();
-  LanedRunOptions options = tier_laned_options(
-      params, 4, LanedRunOptions::ProtocolChoice::kAuto);
-  LaneRunInfo info;
-  const ScalingRunResult result = run_scaling_laned(
-      params, TraceKind::kBigSpike, "conscale", options, &info);
-  EXPECT_GT(result.requests_completed, 0u);
-  // net/LAN skew = 0.05/0.010 = 5x > 4x: the analysis must pick CMB.
-  EXPECT_EQ(info.protocol, lanes::LookaheadAnalysis::Protocol::kNullMessage);
-  EXPECT_DOUBLE_EQ(info.lookahead, options.lan_delay);
-  EXPECT_EQ(info.threads, 4u);
-  // control + one cell per tier (chain edges all cuttable) + one per shard.
-  EXPECT_EQ(info.lanes, 1u + 3u + info.shards);
-  EXPECT_FALSE(info.placement.empty());
-  EXPECT_GT(info.stats.serial_rounds, 0u);
-  EXPECT_GT(info.stats.nulls_announced, 0u);
-}
-
-TEST(TierLaneDeterminism, FaultPlansAreRejectedOnTierLanes) {
-  const ScenarioParams params = quick_params();
-  LanedRunOptions options = tier_laned_options(
-      params, 2, LanedRunOptions::ProtocolChoice::kAuto);
-  options.base.faults = FaultPlan::parse("crash t=10 tier=app vm=0");
-  EXPECT_THROW(run_scaling_laned(params, TraceKind::kBigSpike, "ec2", options),
-               std::invalid_argument);
-}
-
-TEST(TierLaneDeterminism, LanDelayIsAModelParameter) {
-  // The LAN hop is explicit model latency: widening it must slow client
-  // response times (two hops per tier edge, round trip), not just reshape
-  // the schedule.
-  const ScenarioParams params = quick_params();
-  LanedRunOptions near = tier_laned_options(
-      params, 2, LanedRunOptions::ProtocolChoice::kAuto);
-  LanedRunOptions far = near;
-  far.lan_delay = 0.050;
-  const ScalingRunResult near_run =
-      run_scaling_laned(params, TraceKind::kBigSpike, "ec2", near);
-  const ScalingRunResult far_run =
-      run_scaling_laned(params, TraceKind::kBigSpike, "ec2", far);
-  // Two extra LAN hops of 40 ms each way on every app+db leg: the mean
-  // must rise by a clearly-visible margin.
-  EXPECT_GT(far_run.mean_rt_ms, near_run.mean_rt_ms + 50.0);
 }
 
 TEST(AutotuneShards, ScalesWithPeakRateAndClamps) {
@@ -292,8 +198,7 @@ TEST(AutotuneShards, ScalesWithPeakRateAndClamps) {
 
 TEST(AutotuneShards, ShardsZeroSelectsThePlan) {
   const ScenarioParams params = quick_params();
-  LanedRunOptions options = tier_laned_options(
-      params, 2, LanedRunOptions::ProtocolChoice::kAuto);
+  LanedRunOptions options = laned_options(params, 2);
   options.shards = 0;
   LaneRunInfo info;
   const ScalingRunResult result = run_scaling_laned(
@@ -321,8 +226,6 @@ TEST(LaneDeterminism, RepeatLanedRunIsBitIdentical) {
   EXPECT_EQ(first_info.stats.messages, second_info.stats.messages);
   EXPECT_EQ(first_info.stats.events, second_info.stats.events);
   EXPECT_GT(first_info.stats.windows, 0u);
-  EXPECT_EQ(first_info.protocol,
-            lanes::LookaheadAnalysis::Protocol::kTimeWindow);
   EXPECT_DOUBLE_EQ(first_info.lookahead, options.net_delay);
 }
 

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -158,205 +157,9 @@ TEST(LaneEngine, DetectsLookaheadViolation) {
   EXPECT_THROW(engine.run(1.0), std::runtime_error);
 }
 
-// ---- null-message protocol ------------------------------------------------
-
-/// Ring forwarder for the CMB tests: lane i forwards a token to the next
-/// lane across its declared channel, recording every arrival instant. The
-/// ring is the canonical conservative-PDES deadlock shape — every lane
-/// waits on its predecessor — so completing at all exercises the
-/// deadlock-freedom argument (fresh per-round EOTs strictly above the
-/// global minimum, see lane_engine.h).
-class RingHopper final : public LaneActor {
- public:
-  RingHopper(LaneEngine& engine, std::size_t lane, SimDuration delay)
-      : LaneActor(engine, lane), delay_(delay) {}
-
-  void set_next(RingHopper* next) { next_ = next; }
-
-  void kick() {
-    schedule_at(0.0, [this] { hop(); });
-  }
-
-  void hop() {
-    trace_.push_back(sim().now());
-    if (sim().now() > 3.0) return;
-    post(next_->lane(), delay_, [next = next_] { next->hop(); });
-  }
-
-  const std::vector<double>& trace() const { return trace_; }
-
- private:
-  SimDuration delay_;
-  RingHopper* next_ = nullptr;
-  std::vector<double> trace_;
-};
-
-struct RingResult {
-  std::vector<std::vector<double>> traces;
-  lanes::LaneEngineStats stats;
-};
-
-/// Three-lane ring with skewed channel delays (the CMB-payoff regime),
-/// run under the requested protocol / thread count / anti-flood floor.
-RingResult run_ring(LaneEngine::Protocol protocol, std::size_t threads,
-                    SimDuration null_floor) {
-  const std::vector<SimDuration> delays = {0.01, 0.05, 0.2};
-  LaneEngine::Options options;
-  options.lanes = 3;
-  options.lookahead = 0.01;
-  options.threads = threads;
-  options.protocol = protocol;
-  options.null_floor = null_floor;
-  LaneEngine engine(options);
-  for (std::size_t i = 0; i < 3; ++i) {
-    engine.declare_channel(i, (i + 1) % 3, delays[i]);
-  }
-  std::vector<std::unique_ptr<RingHopper>> hoppers;
-  for (std::size_t i = 0; i < 3; ++i) {
-    hoppers.push_back(std::make_unique<RingHopper>(engine, i, delays[i]));
-  }
-  for (std::size_t i = 0; i < 3; ++i) {
-    hoppers[i]->set_next(hoppers[(i + 1) % 3].get());
-  }
-  hoppers[0]->kick();
-  engine.run(4.0);
-  RingResult result;
-  for (const auto& hopper : hoppers) result.traces.push_back(hopper->trace());
-  result.stats = engine.stats();
-  return result;
-}
-
-TEST(NullMessageProtocol, RingCycleCompletesAndMatchesSingleThread) {
-  // Deadlock-freedom on a dependency cycle: the threaded CMB run must
-  // terminate with the exact event history of the single-threaded one.
-  const RingResult threaded =
-      run_ring(LaneEngine::Protocol::kNullMessage, /*threads=*/3, 0.0);
-  const RingResult serial =
-      run_ring(LaneEngine::Protocol::kNullMessage, /*threads=*/1, 0.0);
-  EXPECT_EQ(threaded.traces, serial.traces);
-  EXPECT_FALSE(threaded.traces[0].empty());
-  EXPECT_FALSE(threaded.traces[2].empty());
-  EXPECT_GT(threaded.stats.nulls_announced, 0u);
-}
-
-TEST(NullMessageProtocol, MatchesTimeWindowResults) {
-  // The protocols schedule differently but execute the same model: the
-  // event histories must agree (each is separately thread-count-invariant).
-  const RingResult cmb =
-      run_ring(LaneEngine::Protocol::kNullMessage, /*threads=*/3, 0.0);
-  const RingResult tw =
-      run_ring(LaneEngine::Protocol::kTimeWindow, /*threads=*/3, 0.0);
-  EXPECT_EQ(cmb.traces, tw.traces);
-}
-
-/// Self-rescheduling local timer chain: lane-local events only, counted.
-struct TickChain {
-  Simulation& sim;
-  double period;
-  double horizon;
-  int ticks = 0;
-
-  void start() {
-    sim.schedule_at(0.0, [this] { tick(); });
-  }
-  void tick() {
-    ++ticks;
-    if (sim.now() + period <= horizon) {
-      sim.schedule_after(period, [this] { tick(); });
-    }
-  }
-};
-
-/// Busy pair (lanes 0<->1, thin mutual channels, dense local chains) plus a
-/// slow observer (lane 2) fed by a fat channel from lane 1. The observer is
-/// never starved — its bound sits at the fat channel's horizon — so the
-/// floor's suppressed announcements on 1->2 are never rescued and must show
-/// up in the counters; the busy pair's mutual announcements get rescued on
-/// demand either way.
-struct FloorResult {
-  int ticks[3] = {0, 0, 0};
-  lanes::LaneEngineStats stats;
-};
-
-FloorResult run_floor_topology(SimDuration null_floor) {
-  LaneEngine::Options options;
-  options.lanes = 3;
-  options.lookahead = 0.01;
-  options.threads = 3;
-  options.protocol = LaneEngine::Protocol::kNullMessage;
-  options.null_floor = null_floor;
-  LaneEngine engine(options);
-  engine.declare_channel(0, 1, 0.02);
-  engine.declare_channel(1, 0, 0.02);
-  engine.declare_channel(1, 2, 5.0);
-  TickChain fast0{engine.lane(0).sim(), 0.01, 3.0};
-  TickChain fast1{engine.lane(1).sim(), 0.01, 3.0};
-  TickChain slow2{engine.lane(2).sim(), 1.0, 3.0};
-  fast0.start();
-  fast1.start();
-  slow2.start();
-  engine.run(3.0);
-  FloorResult result;
-  result.ticks[0] = fast0.ticks;
-  result.ticks[1] = fast1.ticks;
-  result.ticks[2] = slow2.ticks;
-  result.stats = engine.stats();
-  return result;
-}
-
-TEST(NullMessageProtocol, AntiFloodFloorSuppressesNullsWithoutChangingResults) {
-  const FloorResult free_run = run_floor_topology(/*null_floor=*/0.0);
-  const FloorResult floored = run_floor_topology(/*null_floor=*/1.0);
-  // The floor swallows sub-threshold EOT advances (the rescue pass keeps
-  // starved lanes alive), so it may only change scheduling — never results.
-  EXPECT_EQ(free_run.ticks[0], floored.ticks[0]);
-  EXPECT_EQ(free_run.ticks[1], floored.ticks[1]);
-  EXPECT_EQ(free_run.ticks[2], floored.ticks[2]);
-  EXPECT_GT(free_run.ticks[0], 100);
-  EXPECT_EQ(free_run.ticks[2], 4);
-  EXPECT_GT(floored.stats.nulls_suppressed, 0u);
-  EXPECT_LT(floored.stats.nulls_announced, free_run.stats.nulls_announced);
-}
-
-TEST(NullMessageProtocol, RequiresDeclaredChannels) {
-  LaneEngine::Options options;
-  options.lanes = 2;
-  options.lookahead = 0.05;
-  options.protocol = LaneEngine::Protocol::kNullMessage;
-  LaneEngine engine(options);
-  EXPECT_THROW(engine.run(1.0), std::runtime_error);
-}
-
-TEST(LaneEngine, RejectsPostOutsideDeclaredChannels) {
-  // Once any channel is declared, every cross-lane post must travel one.
-  LaneEngine::Options options;
-  options.lanes = 2;
-  options.lookahead = 0.05;
-  LaneEngine engine(options);
-  engine.declare_channel(0, 1, 0.05);
-  PingPonger a(engine, 0, 'a', 0.05);
-  PingPonger b(engine, 1, 'b', 0.05);
-  a.set_peer(&b);
-  b.set_peer(&a);
-  // a -> b rides the declared channel; b's bounce back has none.
-  a.kick();
-  EXPECT_THROW(engine.run(1.0), std::runtime_error);
-}
-
-TEST(LaneEngine, RejectsPostBelowChannelDelay) {
-  LaneEngine::Options options;
-  options.lanes = 2;
-  options.lookahead = 0.01;
-  LaneEngine engine(options);
-  engine.declare_channel(0, 1, 0.2);  // channel promises 0.2 of lookahead
-  Violator bad(engine, 0);            // ...but posts with 0.001
-  bad.kick();
-  EXPECT_THROW(engine.run(1.0), std::runtime_error);
-}
-
 TEST(LaneEngine, SoloRoundsRunInlineWhenOneLaneIsActive) {
   // Only lane 0 has events: every round has a single active lane and must
-  // take the inline fast path (the DAG-regression fix ISSUE 10 targets).
+  // take the inline fast path (no barrier round-trip for idle lanes).
   LaneEngine::Options options;
   options.lanes = 3;
   options.lookahead = 0.05;
@@ -379,33 +182,6 @@ TEST(LookaheadAnalysis, WindowIsMinPositiveChannelDelay) {
   analysis.add_source("down", 0.08, true);
   analysis.add_source("vm prep", 15.0, false);  // slack, not a channel
   EXPECT_DOUBLE_EQ(analysis.window(), 0.05);
-  EXPECT_DOUBLE_EQ(analysis.channel_skew(), 0.08 / 0.05);
-  EXPECT_EQ(analysis.recommended(), LookaheadAnalysis::Protocol::kTimeWindow);
-}
-
-TEST(LookaheadAnalysis, SkewedChannelsRecommendNullMessages) {
-  LookaheadAnalysis analysis;
-  analysis.add_source("fast", 0.01, true);
-  analysis.add_source("slow", 0.5, true);
-  EXPECT_EQ(analysis.recommended(), LookaheadAnalysis::Protocol::kNullMessage);
-  EXPECT_EQ(analysis.recommended(/*skew_threshold=*/100.0),
-            LookaheadAnalysis::Protocol::kTimeWindow);
-}
-
-TEST(LookaheadAnalysis, ProtocolBoundaryIsExactlyFourTimesSkew) {
-  // The switch point is skew > 4: exactly 4x stays on time windows, the
-  // next representable ratio flips to null messages.
-  LookaheadAnalysis at_threshold;
-  at_threshold.add_source("fast", 1.0, true);
-  at_threshold.add_source("slow", 4.0, true);
-  EXPECT_DOUBLE_EQ(at_threshold.channel_skew(), 4.0);
-  EXPECT_EQ(at_threshold.recommended(),
-            LookaheadAnalysis::Protocol::kTimeWindow);
-
-  LookaheadAnalysis above;
-  above.add_source("fast", 1.0, true);
-  above.add_source("slow", std::nextafter(4.0, 5.0), true);
-  EXPECT_EQ(above.recommended(), LookaheadAnalysis::Protocol::kNullMessage);
 }
 
 TEST(LookaheadAnalysis, NoChannelsMeansNoWindow) {

@@ -42,10 +42,8 @@ def healthy():
         bench("BM_PsResourceChurn/2048", 2.5e6),        # 4x (bound 10x)
         bench("BM_WarehouseIngestQuery/3600", 5.0e6),
         bench("BM_WarehouseIngestQuery/14400", 2.0e6),  # 2.5x (bound 6x)
-        bench("BM_LaneSessionChurn/4096", 1.1e7),
-        bench("BM_LaneSessionChurn/65536", 8.8e6),      # 1.25x (bound 5x)
-        bench("BM_LaneTierChurn/4096", 1.0e7),
-        bench("BM_LaneTierChurn/65536", 8.5e6),         # ~1.2x (bound 5x)
+        bench("BM_LaneSessionChurn/4096/real_time", 1.1e7),
+        bench("BM_LaneSessionChurn/65536/real_time", 8.8e6),  # 1.25x (5x)
     ]
 
 
