@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,7 @@ std::string to_string(LbPolicy policy);
 
 class LoadBalancer {
  public:
-  using Completion = std::function<void()>;
+  using Completion = Server::Completion;
 
   LoadBalancer(std::string name, LbPolicy policy);
 
@@ -39,7 +38,12 @@ class LoadBalancer {
   void set_policy(LbPolicy policy) { policy_ = policy; }
   LbPolicy policy() const { return policy_; }
   std::size_t backend_count() const { return backends_.size(); }
-  std::size_t outstanding(const Server* server) const;
+  /// Connections open to `server`: its in-flight requests. Every request a
+  /// server holds came through its tier's LB, so the server's own count is
+  /// the least-connections signal; the LB keeps no per-backend state.
+  std::size_t outstanding(const Server* server) const {
+    return server->in_flight();
+  }
   std::uint64_t total_dispatched() const { return dispatched_; }
   /// Requests parked because every backend is down.
   std::size_t surge_queued() const { return waiting_.size(); }
@@ -51,28 +55,12 @@ class LoadBalancer {
     Completion done;
   };
 
-  /// One entry per server ever registered, in registration order — the slot
-  /// index is the server's stable identity inside this LB. Keying the
-  /// outstanding-connection counters by slot (not by Server*) removes the
-  /// only address-dependent container this class ever had: no allocation
-  /// order can influence tie-breaks or iteration (detlint: pointer-key).
-  struct BackendSlot {
-    Server* server;
-    std::size_t outstanding = 0;
-  };
-
-  std::size_t slot_of(const Server* server) const;
-  std::size_t ensure_slot(Server* server);
   Server* choose_backend();
   void flush_surge_queue();
 
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
   std::string name_;
   LbPolicy policy_;
-  std::vector<BackendSlot> slots_;      ///< append-only registry
-  std::vector<Server*> backends_;       ///< currently dispatchable
-  std::vector<std::size_t> backend_slots_;  ///< slot of backends_[k]
+  std::vector<Server*> backends_;  ///< currently dispatchable, in add order
   std::deque<Parked> waiting_;
   std::size_t rr_index_ = 0;
   std::uint64_t dispatched_ = 0;

@@ -31,18 +31,30 @@ void FcfsResource::try_dispatch() {
     PendingJob job = std::move(queue_.front());
     queue_.pop_front();
     ++busy_;
+    std::uint32_t slot;
+    if (free_serving_.empty()) {
+      slot = static_cast<std::uint32_t>(serving_.size());
+      serving_.emplace_back();
+    } else {
+      slot = free_serving_.back();
+      free_serving_.pop_back();
+    }
+    serving_[slot] = std::move(job.on_complete);
     const double service_time = job.work / speed_;
-    sim_.schedule_after(
-        service_time, [this, callback = std::move(job.on_complete)]() mutable {
-          account_to_now();
-          assert(busy_ > 0);
-          --busy_;
-          // Free the channel before the callback: the callback may submit
-          // follow-up work that should be able to start immediately.
-          try_dispatch();
-          callback();
-        });
+    sim_.schedule_after(service_time, [this, slot] { on_service_done(slot); });
   }
+}
+
+void FcfsResource::on_service_done(std::uint32_t slot) {
+  account_to_now();
+  assert(busy_ > 0);
+  --busy_;
+  CompletionCallback callback = std::move(serving_[slot]);
+  free_serving_.push_back(slot);
+  // Free the channel before the callback: the callback may submit follow-up
+  // work that should be able to start immediately.
+  try_dispatch();
+  callback();
 }
 
 std::size_t FcfsResource::clear_queue() {

@@ -8,7 +8,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <vector>
 
 #include "simcore/simulation.h"
 
@@ -16,7 +16,7 @@ namespace conscale {
 
 class FcfsResource {
  public:
-  using CompletionCallback = std::function<void()>;
+  using CompletionCallback = Callback;
 
   FcfsResource(Simulation& sim, int channels = 1, double speed = 1.0);
   FcfsResource(const FcfsResource&) = delete;
@@ -51,6 +51,7 @@ class FcfsResource {
   };
 
   void try_dispatch();
+  void on_service_done(std::uint32_t slot);
   void account_to_now();
 
   Simulation& sim_;
@@ -58,6 +59,10 @@ class FcfsResource {
   double speed_;
   std::size_t busy_ = 0;
   std::deque<PendingJob> queue_;
+  /// Callbacks of the jobs in service, by recycled slot: the service event
+  /// captures only the slot, so it fits a Callback's inline buffer.
+  std::vector<CompletionCallback> serving_;
+  std::vector<std::uint32_t> free_serving_;
   double busy_channel_seconds_ = 0.0;
   SimTime last_update_ = 0.0;
 };

@@ -54,13 +54,30 @@ void ProcessorSharingResource::heap_pop() {
 }
 
 void ProcessorSharingResource::prune_stale_heap_top() {
-  while (!heap_.empty() && jobs_.find(heap_.front().id) == jobs_.end()) {
-    heap_pop();
+  while (!heap_.empty() && !live(heap_.front())) heap_pop();
+}
+
+std::uint32_t ProcessorSharingResource::find_slot(JobId id) const {
+  if (id == 0) return kNoSlot;
+  for (std::size_t slot = 0; slot < jobs_.size(); ++slot) {
+    if (jobs_[slot].id == id) {
+      return static_cast<std::uint32_t>(slot);
+    }
   }
+  return kNoSlot;
+}
+
+void ProcessorSharingResource::free_slot(std::uint32_t slot) {
+  Job& job = jobs_[slot];
+  job.id = 0;
+  job.on_complete = nullptr;
+  job.next_free = free_head_;
+  free_head_ = slot;
+  --active_;
 }
 
 double ProcessorSharingResource::per_job_rate() const {
-  const auto n = static_cast<double>(jobs_.size());
+  const auto n = static_cast<double>(active_);
   if (n == 0.0) return 0.0;
   const double share = std::min(1.0, static_cast<double>(cores_) / n);
   return speed_ * share * contention_.efficiency(n);
@@ -70,8 +87,8 @@ void ProcessorSharingResource::advance_to_now() {
   const SimTime now = sim_.now();
   const double elapsed = now - last_update_;
   last_update_ = now;
-  if (elapsed <= 0.0 || jobs_.empty()) return;
-  const auto n = static_cast<double>(jobs_.size());
+  if (elapsed <= 0.0 || active_ == 0) return;
+  const auto n = static_cast<double>(active_);
   busy_core_seconds_ += elapsed * std::min(n, static_cast<double>(cores_));
   const double served = elapsed * per_job_rate();
   if (served <= 0.0) return;
@@ -80,7 +97,7 @@ void ProcessorSharingResource::advance_to_now() {
 
 void ProcessorSharingResource::reschedule_completion() {
   completion_event_.cancel();
-  if (jobs_.empty()) {
+  if (active_ == 0) {
     // Idle: rebase the virtual clock so a new busy period starts at V = 0
     // and finish tags never drift far from the magnitude of the demands.
     v_ = 0.0;
@@ -119,14 +136,13 @@ void ProcessorSharingResource::on_completion_event() {
     if (heap_.empty() || heap_.front().finish_tag - v_ > threshold) break;
     const HeapEntry top = heap_.front();
     heap_pop();
-    auto it = jobs_.find(top.id);
-    assert(it != jobs_.end());
+    Job& job = jobs_[top.slot];
     // Credit exactly the service delivered: the full demand, minus the
     // sub-epsilon sliver when the event fired a hair early.
-    retired_work_ += std::min(top.finish_tag, v_) - it->second.submit_v;
-    sum_submit_v_ -= it->second.submit_v;
-    done.emplace_back(top.id, std::move(it->second.on_complete));
-    jobs_.erase(it);
+    retired_work_ += std::min(top.finish_tag, v_) - job.submit_v;
+    sum_submit_v_ -= job.submit_v;
+    done.emplace_back(top.id, std::move(job.on_complete));
+    free_slot(top.slot);
   }
   // Tied jobs complete in submission order regardless of heap layout.
   std::sort(done.begin(), done.end(),
@@ -144,30 +160,45 @@ ProcessorSharingResource::JobId ProcessorSharingResource::submit(
   advance_to_now();
   const JobId id = next_id_++;
   const double demand = std::max(work, 0.0);
-  jobs_.emplace(id, Job{v_ + demand, v_, std::move(on_complete)});
+  std::uint32_t slot = free_head_;
+  if (slot != kNoSlot) {
+    free_head_ = jobs_[slot].next_free;
+  } else {
+    slot = static_cast<std::uint32_t>(jobs_.size());
+    jobs_.emplace_back();
+  }
+  Job& job = jobs_[slot];
+  job.finish_tag = v_ + demand;
+  job.submit_v = v_;
+  job.id = id;
+  job.on_complete = std::move(on_complete);
+  ++active_;
   sum_submit_v_ += v_;
-  heap_push({v_ + demand, id});
+  heap_push({v_ + demand, id, slot});
   reschedule_completion();
   return id;
 }
 
 bool ProcessorSharingResource::abort(JobId id) {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
+  const std::uint32_t slot = find_slot(id);
+  if (slot == kNoSlot) return false;
   advance_to_now();
-  const double demand = it->second.finish_tag - it->second.submit_v;
-  retired_work_ += std::clamp(v_ - it->second.submit_v, 0.0, demand);
-  sum_submit_v_ -= it->second.submit_v;
-  jobs_.erase(it);  // the heap entry goes stale and is skipped lazily
+  const Job& job = jobs_[slot];
+  const double demand = job.finish_tag - job.submit_v;
+  retired_work_ += std::clamp(v_ - job.submit_v, 0.0, demand);
+  sum_submit_v_ -= job.submit_v;
+  free_slot(slot);  // the heap entry goes stale and is skipped lazily
   reschedule_completion();
   return true;
 }
 
 std::size_t ProcessorSharingResource::abort_all() {
   advance_to_now();
-  const std::size_t killed = jobs_.size();
+  const std::size_t killed = active_;
   retired_work_ += static_cast<double>(killed) * v_ - sum_submit_v_;
   jobs_.clear();
+  free_head_ = kNoSlot;
+  active_ = 0;
   sum_submit_v_ = 0.0;
   reschedule_completion();  // empties and rebases
   return killed;
@@ -194,18 +225,18 @@ void ProcessorSharingResource::set_contention(ContentionModel contention) {
 }
 
 double ProcessorSharingResource::remaining(JobId id) const {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return -1.0;
-  return std::max(it->second.finish_tag - v_, 0.0);
+  const std::uint32_t slot = find_slot(id);
+  if (slot == kNoSlot) return -1.0;
+  return std::max(jobs_[slot].finish_tag - v_, 0.0);
 }
 
 double ProcessorSharingResource::busy_core_seconds() const {
   // Include the partially-integrated current interval so 1 s pollers see
   // up-to-date utilization.
   double busy = busy_core_seconds_;
-  if (!jobs_.empty()) {
+  if (active_ != 0) {
     const double elapsed = sim_.now() - last_update_;
-    const auto n = static_cast<double>(jobs_.size());
+    const auto n = static_cast<double>(active_);
     busy += std::max(elapsed, 0.0) * std::min(n, static_cast<double>(cores_));
   }
   return busy;
@@ -215,7 +246,7 @@ double ProcessorSharingResource::work_done() const {
   // Retired jobs carry their full credited service; live jobs have received
   // v_ - submit_v each, summed in O(1) via the maintained sum.
   return retired_work_ +
-         static_cast<double>(jobs_.size()) * v_ - sum_submit_v_;
+         static_cast<double>(active_) * v_ - sum_submit_v_;
 }
 
 }  // namespace conscale

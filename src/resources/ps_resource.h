@@ -18,8 +18,10 @@
 // job submitted when the clock reads V_s with demand w completes when
 // V reaches V_s + w; that *finish tag* is immutable, so jobs live in a
 // min-heap keyed on (finish tag, id). Advancing to now is O(1) (bump V),
-// a completion pops in O(log n), and abort just drops the job from the id
-// map — its heap entry is stale and gets skipped lazily. A busy period at
+// a completion pops in O(log n), and abort just frees the job's slot — its
+// heap entry is stale and gets skipped lazily. Jobs live in a recycled slot
+// table (a vector plus a free list), so a warm resource submits and
+// completes without touching the heap allocator. A busy period at
 // concurrency n therefore costs O(log n) per event instead of the O(n)
 // full-scan of the per-job-decrement formulation (kept as a test-only
 // reference in tests/resources/reference_ps_resource.h).
@@ -29,8 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,7 +42,7 @@ namespace conscale {
 class ProcessorSharingResource {
  public:
   using JobId = std::uint64_t;
-  using CompletionCallback = std::function<void()>;
+  using CompletionCallback = Callback;
 
   ProcessorSharingResource(Simulation& sim, int cores, double speed = 1.0,
                            ContentionModel contention = ContentionModel::none());
@@ -55,7 +55,7 @@ class ProcessorSharingResource {
   JobId submit(double work, CompletionCallback on_complete);
 
   /// Aborts a job, discarding its remaining work (no callback). Returns
-  /// false if the job already completed.
+  /// false if the job already completed. O(active jobs): only tests use it.
   bool abort(JobId id);
 
   /// Aborts every active job (no callbacks fire) — a VM crash wipes the
@@ -72,10 +72,11 @@ class ProcessorSharingResource {
   int cores() const { return cores_; }
   double speed() const { return speed_; }
   const ContentionModel& contention() const { return contention_; }
-  std::size_t active_jobs() const { return jobs_.size(); }
+  std::size_t active_jobs() const { return active_; }
 
   /// Remaining demand of an active job (finish tag minus the virtual clock),
-  /// clamped at 0; -1 if the job already completed or was aborted.
+  /// clamped at 0; -1 if the job already completed or was aborted. O(active
+  /// jobs), like abort().
   double remaining(JobId id) const;
 
   /// Cumulative busy-core-seconds (integrated min(n, cores), *not* reduced
@@ -87,18 +88,32 @@ class ProcessorSharingResource {
   double work_done() const;
 
  private:
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  /// One slot of the job table; `id` is 0 while the slot is free.
   struct Job {
     double finish_tag = 0.0;  ///< virtual clock value at which the job ends
     double submit_v = 0.0;    ///< virtual clock value at submission
+    JobId id = 0;
+    std::uint32_t next_free = kNoSlot;  ///< free-list link while free
     CompletionCallback on_complete;
   };
   /// Heap entries outlive aborted jobs (lazy deletion); an entry is live iff
-  /// its id is still in jobs_ — ids are never reused, so that test suffices.
+  /// its slot still holds its id — ids are never reused, so that test
+  /// suffices even after the slot is recycled.
   struct HeapEntry {
     double finish_tag = 0.0;
     JobId id = 0;
+    std::uint32_t slot = 0;
   };
 
+  bool live(const HeapEntry& entry) const {
+    return jobs_[entry.slot].id == entry.id;
+  }
+  /// Slot of an active job, or kNoSlot.
+  std::uint32_t find_slot(JobId id) const;
+  /// Returns a completed or aborted job's slot to the free list.
+  void free_slot(std::uint32_t slot);
   double per_job_rate() const;
   void advance_to_now();
   void reschedule_completion();
@@ -112,10 +127,11 @@ class ProcessorSharingResource {
   double speed_;
   ContentionModel contention_;
 
-  // Determinism audit (DESIGN.md §8): accessed only by key (find/emplace/
-  // erase/size/clear); completion order is decided by the finish-tag heap
-  // below, with ties broken by JobId — hash order never surfaces.
-  std::unordered_map<JobId, Job> jobs_;
+  /// Job slot table; completion order is decided by the finish-tag heap
+  /// below, with ties broken by JobId — slot order never surfaces.
+  std::vector<Job> jobs_;
+  std::uint32_t free_head_ = kNoSlot;
+  std::size_t active_ = 0;
   std::vector<HeapEntry> heap_;  ///< min-heap on (finish_tag, id)
   JobId next_id_ = 1;
   SimTime last_update_ = 0.0;

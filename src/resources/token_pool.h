@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 
 #include "simcore/simulation.h"
@@ -19,7 +18,7 @@ namespace conscale {
 
 class TokenPool {
  public:
-  using GrantCallback = std::function<void()>;
+  using GrantCallback = Callback;
 
   TokenPool(std::string name, std::size_t capacity);
 

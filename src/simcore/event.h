@@ -9,10 +9,14 @@
 // simulation performs no heap allocation (the dominant cost of the old
 // one-shared_ptr-per-event scheme; the processor-sharing resource cancels
 // and reschedules completions every time its active set changes, so the
-// schedule/cancel path is the hottest in the kernel). An EventHandle is a
-// {slot index, generation} pair: the generation check makes handles to
-// fired or cancelled-and-reused slots inert, keeping cancel() O(1) and lazy
-// (the queue drops cancelled entries when they surface).
+// schedule/cancel path is the hottest in the kernel). The callback itself is
+// a Callback (simcore/callback.h), whose 32-byte inline buffer holds every
+// request-path closure, so the 48-byte slot needs no allocation either.
+//
+// An EventHandle is a {slot index, generation} pair: the generation check
+// makes handles to fired or cancelled-and-reused slots inert, keeping
+// cancel() O(1) and lazy (the queue drops cancelled entries when they
+// surface).
 //
 // Lifetime rule: a handle must not be used after the Simulation that issued
 // it is destroyed (handles are meant to be held by model objects, whose
@@ -20,35 +24,39 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/time_units.h"
+#include "simcore/callback.h"
 
 namespace conscale {
 
-using EventCallback = std::function<void()>;
+using EventCallback = Callback;
 
 namespace detail {
 
 /// Slot + generation pool for scheduled-event state. Owned by Simulation;
 /// one slot per in-queue event, recycled through a free list.
+///
+/// A slot's `next_free` word doubles as its state: while the slot is in the
+/// queue it holds kLive or kCancelled, and once released it links the free
+/// list (a slot index, or kNone at the end). That keeps the slot at 48 bytes.
 class EventArena {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
   /// Claims a slot for `callback`; returns its index. Reuses a free slot if
   /// available, otherwise grows the pool.
-  std::uint32_t allocate(EventCallback callback) {
+  std::uint32_t allocate(EventCallback&& callback) {
     std::uint32_t index;
     if (free_head_ != kNone) {
       index = free_head_;
       free_head_ = slots_[index].next_free;
       slots_[index].callback = std::move(callback);
-      slots_[index].cancelled = false;
+      slots_[index].next_free = kLive;
     } else {
       index = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(Slot{std::move(callback), kNone, 0, false});
+      slots_.push_back(Slot{std::move(callback), kLive, 0});
     }
     return index;
   }
@@ -59,7 +67,6 @@ class EventArena {
     Slot& slot = slots_[index];
     ++slot.generation;
     slot.callback = nullptr;
-    slot.cancelled = true;
     slot.next_free = free_head_;
     free_head_ = index;
   }
@@ -68,8 +75,9 @@ class EventArena {
     return slots_[index].generation;
   }
 
+  /// True for a queued slot whose event was cancelled.
   bool cancelled(std::uint32_t index) const {
-    return slots_[index].cancelled;
+    return slots_[index].next_free == kCancelled;
   }
 
   /// Moves the callback out of a slot (caller releases afterwards).
@@ -79,26 +87,31 @@ class EventArena {
 
   /// O(1) lazy cancel; returns true if this call performed the cancellation.
   bool cancel(std::uint32_t index, std::uint32_t generation) {
-    if (index >= slots_.size()) return false;
-    Slot& slot = slots_[index];
-    if (slot.generation != generation || slot.cancelled) return false;
-    slot.cancelled = true;
+    if (!pending(index, generation)) return false;
+    slots_[index].next_free = kCancelled;
     return true;
   }
 
+  /// A matching generation means the slot is still queued (release bumps
+  /// it), so the handle's event is pending unless it was cancelled.
   bool pending(std::uint32_t index, std::uint32_t generation) const {
     if (index >= slots_.size()) return false;
     const Slot& slot = slots_[index];
-    return slot.generation == generation && !slot.cancelled;
+    return slot.generation == generation && slot.next_free == kLive;
   }
 
  private:
+  /// Queued-slot states of `next_free`; no slot index reaches them.
+  static constexpr std::uint32_t kLive = 0xfffffffeu;
+  static constexpr std::uint32_t kCancelled = 0xfffffffdu;
+
   struct Slot {
     EventCallback callback;
-    std::uint32_t next_free = kNone;
+    std::uint32_t next_free = kLive;  ///< kLive / kCancelled / free-list link
     std::uint32_t generation = 0;
-    bool cancelled = false;
   };
+  static_assert(sizeof(Slot) <= 48,
+                "the session workloads keep ~1.2 M event slots pending");
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNone;

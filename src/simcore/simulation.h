@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <vector>
 

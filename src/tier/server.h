@@ -17,6 +17,13 @@
 // Hardware resources — core count / speed — are also runtime-adjustable
 // (vertical scaling experiments, §III-C.1).
 //
+// Each in-flight request is a Visit in a per-server pool, addressed by a
+// generation-checked {slot, generation} VisitRef. Every continuation the
+// pipeline hands to a resource, timer or downstream call captures only
+// `this` and a VisitRef, so it fits a Callback's inline buffer; a
+// continuation whose visit was crashed (fail()) or has since been recycled
+// finds a different generation and does nothing.
+//
 // The server exposes arrival/departure/admission hooks; the metrics layer
 // builds the paper's 50 ms concurrency/throughput/response-time series from
 // them without the model knowing about monitoring at all.
@@ -56,7 +63,7 @@ class Server {
   };
 
   /// Continuation invoked when this server finishes a request.
-  using Completion = std::function<void()>;
+  using Completion = Callback;
   /// Wired by the cluster layer: forwards a sub-request to the next tier
   /// (usually through a load balancer) and calls the continuation on reply.
   using DownstreamFn = std::function<void(const RequestContext&, Completion)>;
@@ -126,11 +133,45 @@ class Server {
   void add_hooks(Hooks hooks) { hooks_.push_back(std::move(hooks)); }
 
  private:
-  struct Visit;
-  void start_processing(const std::shared_ptr<Visit>& visit);
-  void run_downstream_calls(const std::shared_ptr<Visit>& visit);
-  void finish(const std::shared_ptr<Visit>& visit);
-  void register_visit(const std::shared_ptr<Visit>& visit);
+  static constexpr std::uint32_t kNoVisit = 0xffffffffu;
+
+  /// A pool slot. While in use it sits on the live list (arrival order,
+  /// which fail() walks); while free, `next` links the free list.
+  struct Visit {
+    RequestContext ctx;
+    Completion done;
+    SimTime arrival = 0.0;
+    const PhaseDemand* demand = nullptr;
+    std::uint32_t generation = 0;  ///< bumped on release
+    std::uint32_t prev = kNoVisit;
+    std::uint32_t next = kNoVisit;
+    int calls_remaining = 0;
+    bool admitted = false;  ///< holds (or held) a worker thread
+  };
+  struct VisitRef {
+    std::uint32_t slot;
+    std::uint32_t generation;
+  };
+
+  /// The visit `ref` names, or nullptr once it finished or was crashed.
+  Visit* live(VisitRef ref) {
+    Visit& visit = visits_[ref.slot];
+    return visit.generation == ref.generation ? &visit : nullptr;
+  }
+  VisitRef claim_visit();
+  void release_visit(std::uint32_t slot);
+
+  // The pipeline stages, in order; each draws its demand from rng_ exactly
+  // where the request passes that stage.
+  void start_processing(VisitRef ref);
+  void after_cpu(VisitRef ref);
+  void after_disk(VisitRef ref);
+  void after_delay(VisitRef ref);
+  void run_downstream_calls(VisitRef ref);
+  /// `pooled`: the call holds a downstream connection token.
+  void call_downstream(VisitRef ref, bool pooled);
+  void on_downstream_reply(VisitRef ref, bool pooled);
+  void finish(VisitRef ref);
 
   Simulation& sim_;
   Params params_;
@@ -141,9 +182,10 @@ class Server {
   std::unique_ptr<TokenPool> downstream_pool_;
   DownstreamFn downstream_;
   std::vector<Hooks> hooks_;
-  /// Weak registry of in-flight visits so fail() can error them; compacted
-  /// lazily in register_visit (entries expire when a request departs).
-  std::vector<std::weak_ptr<Visit>> live_visits_;
+  std::vector<Visit> visits_;  ///< the pool; slots are recycled
+  std::uint32_t free_head_ = kNoVisit;
+  std::uint32_t live_head_ = kNoVisit;  ///< oldest in-flight visit
+  std::uint32_t live_tail_ = kNoVisit;  ///< newest in-flight visit
   std::size_t in_flight_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t aborted_ = 0;

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -67,7 +67,7 @@ class ClientPopulation {
   /// Swap the request mix at runtime (workload-type change experiments).
   void set_mix(const RequestMix& mix) { mix_ = &mix; }
 
-  std::size_t active_users() const { return users_.size(); }
+  std::size_t active_users() const { return active_; }
   std::uint64_t requests_issued() const { return issued_; }
   std::uint64_t requests_completed() const { return completed_; }
   /// Requests shed by admission control (always zero for plain SubmitFn).
@@ -76,32 +76,43 @@ class ClientPopulation {
   const LogHistogram& response_times() const { return rt_histogram_; }
 
  private:
+  static constexpr std::uint32_t kNoUser = 0xffffffffu;
+
+  /// One slot of the user table. A user has at most one request in flight;
+  /// its class and issue time live here, so the reply closure captures only
+  /// `this` and the slot and fits std::function's inline buffer.
   struct User {
-    bool in_flight = false;
-    bool retired = false;
     EventHandle think_event;
+    const RequestClass* request_class = nullptr;  ///< of the request in flight
+    SimTime issued_at = 0.0;
+    std::uint32_t next_free = kNoUser;  ///< free-list link while free
   };
+
+  /// Both public constructors land here; exactly one entry point is set.
+  ClientPopulation(Simulation& sim, const WorkloadTrace& trace,
+                   const RequestMix& mix, SubmitFn plain_submit,
+                   OutcomeSubmitFn submit, Params params);
 
   void adjust_population(SimTime now);
   void spawn_user();
-  void user_think(std::uint64_t id);
-  void user_submit(std::uint64_t id);
-  bool maybe_retire(std::uint64_t id);
+  void user_think(std::uint32_t slot);
+  void user_submit(std::uint32_t slot);
+  void on_response(std::uint32_t slot, RequestOutcome outcome);
+  bool maybe_retire(std::uint32_t slot);
 
   Simulation& sim_;
   const WorkloadTrace& trace_;
   const RequestMix* mix_;
+  SubmitFn plain_submit_;
   OutcomeSubmitFn submit_;
   Params params_;
   Rng rng_;
   CompletionHook hook_;
   RejectionHook rejection_hook_;
 
-  // Determinism audit (DESIGN.md §8): keyed access only on the run path;
-  // the destructor's cancel sweep is the single iteration, waived in the
-  // .cpp with an order-independence proof.
-  std::unordered_map<std::uint64_t, User> users_;
-  std::uint64_t next_user_id_ = 1;
+  std::vector<User> users_;  ///< recycled slot table
+  std::uint32_t free_head_ = kNoUser;
+  std::size_t active_ = 0;
   std::uint64_t next_request_id_ = 1;
   std::size_t retire_pending_ = 0;
   std::uint64_t issued_ = 0;

@@ -1,0 +1,77 @@
+// Allocation guard: the steady-state request path must not touch the heap.
+//
+// A 1/1/1 NTierSystem driven by a ClientPopulation is warmed up until every
+// pool, slot table and queue has reached its working size; over the window
+// that follows, the global operator new (replaced below to count calls) may
+// run at most 0.5 times per completed request. The byte-identity suites
+// cannot see a closure that silently outgrows Callback's inline buffer or
+// std::function's small-object buffer; this count can.
+//
+// Built only without -DSANITIZE: the sanitizers interpose the allocator
+// themselves.
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <new>
+
+#include <gtest/gtest.h>
+
+#include "cluster/ntier_system.h"
+#include "experiments/scenario.h"
+#include "workload/client.h"
+
+namespace {
+std::uint64_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace conscale {
+namespace {
+
+TEST(AllocationGuard, SteadyStateRequestPathIsAllocationFree) {
+  ScenarioParams params = ScenarioParams::paper_default();
+  params.web_init = 1;
+  params.app_init = 1;
+  params.db_init = 1;
+  Simulation sim;
+  const RequestMix mix = params.make_mix();
+  NTierSystem system(sim, params.system_config());
+  const WorkloadTrace trace = make_constant_trace(2000.0, 120.0);
+  ClientPopulation::Params client_params;
+  client_params.think_time_mean = params.think_time;
+  ClientPopulation clients(
+      sim, trace, mix,
+      [&system](const RequestContext& ctx, std::function<void()> done) {
+        system.submit(ctx, std::move(done));
+      },
+      client_params);
+
+  sim.run_until(40.0);  // warm-up: pools and queues reach working size
+  const std::uint64_t allocations_before = g_allocations;
+  const std::uint64_t completed_before = clients.requests_completed();
+  sim.run_until(100.0);
+  const std::uint64_t allocations = g_allocations - allocations_before;
+  const std::uint64_t completed =
+      clients.requests_completed() - completed_before;
+
+  ASSERT_GT(completed, 10000u);
+  const double per_request =
+      static_cast<double>(allocations) / static_cast<double>(completed);
+  RecordProperty("allocations", static_cast<int>(allocations));
+  RecordProperty("completed", static_cast<int>(completed));
+  EXPECT_LT(per_request, 0.5) << allocations << " allocations over "
+                              << completed << " completed requests";
+}
+
+}  // namespace
+}  // namespace conscale

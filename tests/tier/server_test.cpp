@@ -3,6 +3,7 @@
 #include <vector>
 #include <functional>
 #include <algorithm>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -287,6 +288,116 @@ TEST(Server, DemandSamplingRespectsCv) {
   for (double rt : rts) s.add(rt);
   EXPECT_NEAR(s.mean(), 0.01, 0.001);
   EXPECT_NEAR(s.stddev() / s.mean(), 0.5, 0.06);
+}
+
+// Crash semantics of the visit pool. Six visits are caught by fail() at every
+// pipeline stage; the continuations they leave behind (a disk job still in
+// service, a delay timer, a downstream reply) must stay inert after fail(),
+// even once new visits have recycled every pool slot.
+struct CrashFixture : ::testing::Test {
+  CrashFixture() {
+    Server::Params p = base_params();
+    p.thread_pool_size = 5;
+    p.downstream_pool_size = 1;
+    server = std::make_unique<Server>(sim, p);
+    PhaseDemand d;
+    d.cpu_pre = 10.0;
+    cpu = make_class(d);
+    d = PhaseDemand{};
+    d.disk = 10.0;
+    disk = make_class(d);
+    d = PhaseDemand{};
+    d.pure_delay = 10.0;
+    delay = make_class(d);
+    d = PhaseDemand{};
+    d.downstream_calls = 1;
+    downstream = make_class(d);
+    server->set_downstream(
+        [this](const RequestContext& ctx, Server::Completion reply) {
+          downstream_ids.push_back(ctx.id);
+          replies.push_back(std::move(reply));
+        });
+    Server::Hooks hooks;
+    hooks.on_aborted = [this](SimTime) { ++aborted_hooks; };
+    server->add_hooks(std::move(hooks));
+  }
+
+  void handle(const RequestClass& cls, std::uint64_t id) {
+    server->handle(make_ctx(cls, id), [this, id] { done_ids.push_back(id); });
+  }
+
+  /// Arrivals 1..6 end up: in CPU, in disk service, in pure delay, awaiting
+  /// a downstream reply (holding the one connection), waiting for that
+  /// connection, and (pool of 5 threads) waiting for a thread.
+  void fill_every_stage() {
+    handle(cpu, 1);
+    handle(disk, 2);
+    handle(delay, 3);
+    handle(downstream, 4);
+    handle(downstream, 5);
+    handle(cpu, 6);
+    sim.run_until(1.0);
+    ASSERT_EQ(server->processing(), 5u);
+    ASSERT_EQ(server->queued(), 1u);
+    ASSERT_EQ(downstream_ids, (std::vector<std::uint64_t>{4}));
+  }
+
+  Simulation sim;
+  std::unique_ptr<Server> server;
+  RequestClass cpu, disk, delay, downstream;
+  std::vector<std::uint64_t> done_ids;
+  std::vector<std::uint64_t> downstream_ids;
+  std::vector<Server::Completion> replies;
+  int aborted_hooks = 0;
+};
+
+TEST_F(CrashFixture, FailErrorsEveryStageOnceInArrivalOrder) {
+  fill_every_stage();
+  EXPECT_EQ(server->fail(), 6u);
+  EXPECT_EQ(done_ids, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(aborted_hooks, 5);  // the thread waiter was never admitted
+  EXPECT_EQ(server->in_flight(), 0u);
+  EXPECT_EQ(server->processing(), 0u);
+  EXPECT_EQ(server->queued(), 0u);
+  EXPECT_EQ(server->aborted_requests(), 6u);
+  // A second crash finds nothing left to error.
+  EXPECT_EQ(server->fail(), 0u);
+  // The disk job in service and the delay timer still fire at t=10, and the
+  // downstream reply arrives late: none of them may touch a crashed visit.
+  sim.run_all();
+  replies.front()();
+  EXPECT_EQ(done_ids.size(), 6u);
+  EXPECT_EQ(server->completed_requests(), 0u);
+  EXPECT_EQ(server->in_flight(), 0u);
+}
+
+TEST_F(CrashFixture, LateContinuationsIgnoreRecycledSlots) {
+  fill_every_stage();
+  ASSERT_EQ(server->fail(), 6u);
+  done_ids.clear();
+  // Six new downstream visits recycle all six slots: five take a thread,
+  // the first of them takes the (reset) connection, the sixth waits.
+  for (std::uint64_t id = 11; id <= 16; ++id) handle(downstream, id);
+  ASSERT_EQ(downstream_ids, (std::vector<std::uint64_t>{4, 11}));
+  ASSERT_EQ(server->processing(), 5u);
+  ASSERT_EQ(server->queued(), 1u);
+  // Late disk completion and delay timer (t=10), then the crashed visit's
+  // downstream reply: a no-op each. In particular the stale reply must not
+  // hand back a connection token, which would start visit 12's call.
+  sim.run_until(20.0);
+  replies[0]();
+  EXPECT_TRUE(done_ids.empty());
+  EXPECT_EQ(downstream_ids, (std::vector<std::uint64_t>{4, 11}));
+  EXPECT_EQ(server->in_flight(), 6u);
+  // The live visits still finish normally, one connection at a time.
+  // (Each reply issues the next visit's call, which appends to `replies`.)
+  for (std::size_t next = 1; next < replies.size(); ++next) {
+    auto reply = std::move(replies[next]);
+    reply();
+  }
+  EXPECT_EQ(done_ids, (std::vector<std::uint64_t>{11, 12, 13, 14, 15, 16}));
+  EXPECT_EQ(server->completed_requests(), 6u);
+  EXPECT_EQ(server->in_flight(), 0u);
 }
 
 }  // namespace
