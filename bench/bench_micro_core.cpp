@@ -81,6 +81,29 @@ void BM_EventChurnScheduleCancelFire(benchmark::State& state) {
 }
 BENCHMARK(BM_EventChurnScheduleCancelFire)->Arg(16)->Arg(256);
 
+void BM_EventHoldModel(benchmark::State& state) {
+  // The load a paper-scale run puts on the kernel: N think timers
+  // (exponential, mean 7 s) stay pending and re-arm when they fire, while a
+  // few millisecond-scale service chains churn near the clock. One item is
+  // one executed event.
+  struct Hold {
+    Simulation sim;
+    Rng rng{17};
+    void think() {
+      sim.schedule_after(rng.exponential(7.0), [this] { think(); });
+    }
+    void serve() {
+      sim.schedule_after(rng.exponential(0.001), [this] { serve(); });
+    }
+  };
+  Hold hold;
+  for (std::int64_t i = 0; i < state.range(0); ++i) hold.think();
+  for (int i = 0; i < 16; ++i) hold.serve();
+  for (auto _ : state) hold.sim.step();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventHoldModel)->Arg(4096)->Arg(262144);
+
 void BM_PsResourceChurn(benchmark::State& state) {
   const auto concurrency = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -272,8 +295,9 @@ class BenchShard final : public lanes::LaneActor {
 
 void BM_LaneSessionChurn(benchmark::State& state) {
   // Per-event cost must stay near-flat in the session count: the pending
-  // think timers live in a binary heap, so 16x more sessions may cost a
-  // log factor, never a linear one (check_bench_ratios.py gates the ratio).
+  // think timers live in the kernel's radix heap, so 16x more sessions may
+  // cost a few more bucket moves and cache misses per event, never a linear
+  // factor (check_bench_ratios.py gates the ratio).
   // The shard lane runs on a worker thread, so the rate is taken over wall
   // time (UseRealTime); main-thread CPU time would miss the worker's share.
   const auto sessions = static_cast<std::size_t>(state.range(0));

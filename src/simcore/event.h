@@ -1,8 +1,11 @@
 // Event primitives for the discrete-event engine.
 //
-// Events are heap-ordered by (time, sequence); the sequence number makes
-// ordering of simultaneous events deterministic (FIFO in scheduling order),
-// which the reproduction relies on for bit-for-bit repeatable runs.
+// Events run in (time, group, sequence) order: the Simulation's queue is a
+// monotone radix heap (simulation.h) over that order. Plain events share
+// group 0 and take an arrival counter as their sequence, so simultaneous
+// events fire FIFO in scheduling order, which the reproduction relies on for
+// bit-for-bit repeatable runs; keyed events (the lane engine) order by their
+// stream id and per-stream sequence.
 //
 // Storage: callbacks live in an EventArena owned by the Simulation — a
 // slot + generation pool with a free list, so scheduling an event on a warm

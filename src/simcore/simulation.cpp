@@ -1,28 +1,105 @@
 #include "simcore/simulation.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 namespace conscale {
 
-EventHandle Simulation::schedule_at(SimTime when, EventCallback callback) {
+namespace {
+
+std::uint64_t time_key(SimTime t) {
+  return std::bit_cast<std::uint64_t>(t + 0.0);
+}
+
+SimTime key_time(std::uint64_t key) { return std::bit_cast<SimTime>(key); }
+
+}  // namespace
+
+namespace detail {
+
+EventQueue::Chunk* EventQueue::grow(int bucket) {
+  Chunk* chunk = free_;
+  if (chunk == nullptr) {
+    chunks_.push_back(std::make_unique<Chunk>());
+    chunk = chunks_.back().get();
+  } else {
+    free_ = chunk->next;
+  }
+  chunk->next = head_[bucket];
+  head_[bucket] = chunk;
+  fill_[bucket] = 0;
+  return chunk;
+}
+
+void EventQueue::refill() {
+  const int bucket = std::countr_zero(mask_);
+  last_ = min_key_[bucket];
+  // Every event here differs from the old last_ first at bit `bucket`, and
+  // so does the new last_: the events equal to it form the near heap, the
+  // others land in buckets below `bucket`.
+  Chunk* const newest = head_[bucket];
+  Chunk* chunk = newest;
+  std::uint32_t size = fill_[bucket];
+  while (chunk != nullptr) {
+    for (std::uint32_t i = 0; i < size; ++i) {
+      const QueuedEvent& event = chunk->events[i];
+      if (event.key == last_) {
+        near_.push_back(event);
+      } else {
+        append(63 - std::countl_zero(event.key ^ last_), event);
+      }
+    }
+    Chunk* next = chunk->next;
+    if (chunk != newest) {
+      chunk->next = free_;
+      free_ = chunk;
+    }
+    chunk = next;
+    size = Chunk::kCapacity;
+  }
+  newest->next = nullptr;
+  fill_[bucket] = 0;
+  min_key_[bucket] = kNoKey;
+  mask_ &= ~(std::uint64_t{1} << bucket);
+  if (near_.size() > 1) {
+    std::make_heap(near_.begin(), near_.end(), std::greater<>{});
+  }
+}
+
+}  // namespace detail
+
+EventHandle Simulation::enqueue(SimTime when, std::uint32_t group,
+                                std::uint64_t seq, EventCallback&& callback) {
   const std::uint32_t slot = arena_.allocate(std::move(callback));
-  const std::uint32_t generation = arena_.generation(slot);
-  queue_.push(QueuedEvent{std::max(when, now_), 0, next_sequence_++, slot,
-                          generation});
+  queue_.push(
+      detail::QueuedEvent{time_key(std::max(when, now_)), seq, group, slot});
   ++live_events_;
-  return EventHandle(&arena_, slot, generation);
+  return EventHandle(&arena_, slot, arena_.generation(slot));
+}
+
+EventHandle Simulation::schedule_at(SimTime when, EventCallback callback) {
+  if (std::isnan(when)) {
+    throw std::invalid_argument("Simulation::schedule_at: NaN event time");
+  }
+  return enqueue(when, 0, next_sequence_++, std::move(callback));
 }
 
 EventHandle Simulation::schedule_keyed(SimTime when, std::uint64_t group,
                                        std::uint64_t seq,
                                        EventCallback callback) {
-  const std::uint32_t slot = arena_.allocate(std::move(callback));
-  const std::uint32_t generation = arena_.generation(slot);
-  queue_.push(QueuedEvent{std::max(when, now_), group, seq, slot, generation});
-  ++live_events_;
-  return EventHandle(&arena_, slot, generation);
+  if (std::isnan(when)) {
+    throw std::invalid_argument("Simulation::schedule_keyed: NaN event time");
+  }
+  if (group > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "Simulation::schedule_keyed: group exceeds 2^32 - 1");
+  }
+  return enqueue(when, static_cast<std::uint32_t>(group), seq,
+                 std::move(callback));
 }
 
 EventHandle Simulation::schedule_after(SimDuration delay,
@@ -38,12 +115,12 @@ void Simulation::pop_and_release() {
 
 bool Simulation::step() {
   while (!queue_.empty()) {
-    const QueuedEvent entry = queue_.top();
+    const detail::QueuedEvent entry = queue_.top();
     if (arena_.cancelled(entry.slot)) {
       pop_and_release();
       continue;
     }
-    now_ = entry.time;
+    now_ = key_time(entry.key);
     ++executed_;
     // Move the callback out and recycle the slot before invoking: a handle
     // held by the callback's owner reports !pending() during the call (the
@@ -64,7 +141,7 @@ void Simulation::run_until(SimTime deadline) {
       pop_and_release();
       continue;
     }
-    if (queue_.top().time > deadline) break;
+    if (key_time(queue_.top().key) > deadline) break;
     step();
   }
   now_ = std::max(now_, deadline);
@@ -76,7 +153,7 @@ void Simulation::run_before(SimTime bound) {
       pop_and_release();
       continue;
     }
-    if (queue_.top().time >= bound) break;
+    if (key_time(queue_.top().key) >= bound) break;
     step();
   }
 }
@@ -87,7 +164,7 @@ SimTime Simulation::next_event_time() {
       pop_and_release();
       continue;
     }
-    return queue_.top().time;
+    return key_time(queue_.top().key);
   }
   return std::numeric_limits<SimTime>::infinity();
 }

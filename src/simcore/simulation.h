@@ -10,15 +10,120 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <memory>
 #include <vector>
 
 #include "common/time_units.h"
 #include "simcore/event.h"
 
 namespace conscale {
+
+namespace detail {
+
+/// One queued event, 24 bytes. `key` is the IEEE-754 bit pattern of the
+/// event time normalised by `+ 0.0` (so -0.0 keys as 0); for the
+/// non-negative times the kernel queues, unsigned order on the bits is
+/// numeric order, +infinity included.
+struct QueuedEvent {
+  std::uint64_t key;
+  std::uint64_t sequence;  ///< arrival counter (plain) or stream seq (keyed)
+  std::uint32_t group;     ///< 0 = plain event; >0 = keyed stream id
+  std::uint32_t slot;      ///< EventArena slot
+  bool operator>(const QueuedEvent& other) const {
+    if (key != other.key) return key > other.key;
+    if (group != other.group) return group > other.group;
+    return sequence > other.sequence;
+  }
+};
+
+/// Monotone radix heap over QueuedEvent, ordered by (key, group, sequence).
+///
+/// `last_` is the key of the minimum taken at the last refill; it never
+/// decreases. Events with key <= last_ live in `near_`, a binary heap on the
+/// full order: the current instant, plus anything scheduled below a head
+/// that was looked at but left queued (run_until / run_before /
+/// next_event_time leave the clock below the head). An event with a larger
+/// key sits in bucket `63 - countl_zero(key ^ last_)`, the highest bit where
+/// it differs from last_. When `near_` runs dry, the lowest non-empty
+/// bucket's tracked minimum becomes the new last_ and the bucket's events
+/// move to `near_` (those equal to it) or to strictly lower buckets, so an
+/// event moves at most 63 times and push is O(1).
+///
+/// Buckets are singly linked chains of fixed-size chunks drawn from one
+/// free list. Refill returns a bucket's chunks to the list as it reads
+/// them, keeping only the newest for the bucket's next events, so the queue
+/// holds its pending events plus at most one chunk per bucket, never a
+/// bucket's high-water mark. Nothing is allocated once the pool has grown
+/// to the run's peak.
+class EventQueue {
+ public:
+  EventQueue() { min_key_.fill(kNoKey); }
+
+  bool empty() const { return near_.empty() && mask_ == 0; }
+
+  void push(const QueuedEvent& event) {
+    if (event.key <= last_) {
+      near_.push_back(event);
+      std::push_heap(near_.begin(), near_.end(), std::greater<>{});
+    } else {
+      append(63 - std::countl_zero(event.key ^ last_), event);
+    }
+  }
+
+  /// The minimum event; the queue must not be empty.
+  const QueuedEvent& top() {
+    if (near_.empty()) refill();
+    return near_.front();
+  }
+
+  /// Removes the minimum; top() must have been called since the last push.
+  void pop() {
+    std::pop_heap(near_.begin(), near_.end(), std::greater<>{});
+    near_.pop_back();
+  }
+
+ private:
+  static constexpr int kBuckets = 64;
+  static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+
+  /// Every chunk in a bucket's chain is full except the newest, its head,
+  /// which holds `fill_[bucket]` events.
+  struct Chunk {
+    static constexpr std::uint32_t kCapacity = 64;
+    Chunk* next = nullptr;
+    std::array<QueuedEvent, kCapacity> events;
+  };
+
+  void append(int bucket, const QueuedEvent& event) {
+    Chunk* chunk = head_[bucket];
+    if (chunk == nullptr || fill_[bucket] == Chunk::kCapacity) [[unlikely]] {
+      chunk = grow(bucket);
+    }
+    chunk->events[fill_[bucket]++] = event;
+    min_key_[bucket] = std::min(min_key_[bucket], event.key);
+    mask_ |= std::uint64_t{1} << bucket;
+  }
+
+  /// Links a chunk from the free list (or a new one) in front of `bucket`.
+  Chunk* grow(int bucket);
+  /// Moves the lowest bucket's events to `near_` and lower buckets.
+  void refill();
+
+  std::uint64_t last_ = 0;
+  std::vector<QueuedEvent> near_;
+  std::uint64_t mask_ = 0;  ///< bit b set <=> bucket b holds events
+  std::array<Chunk*, kBuckets> head_{};
+  std::array<std::uint32_t, kBuckets> fill_{};
+  std::array<std::uint64_t, kBuckets> min_key_;
+  Chunk* free_ = nullptr;
+  std::vector<std::unique_ptr<Chunk>> chunks_;  ///< owns every chunk
+};
+
+}  // namespace detail
 
 class Simulation {
  public:
@@ -31,9 +136,11 @@ class Simulation {
 
   /// Schedules `callback` at absolute time `when`; times in the past are
   /// clamped to `now()` (fires next, after already-queued events at now()).
+  /// Throws std::invalid_argument if `when` is NaN.
   EventHandle schedule_at(SimTime when, EventCallback callback);
 
-  /// Schedules `callback` after `delay` seconds (negative clamps to 0).
+  /// Schedules `callback` after `delay` seconds (negative clamps to 0; NaN
+  /// throws, as in schedule_at).
   EventHandle schedule_after(SimDuration delay, EventCallback callback);
 
   /// Schedules `callback` under an explicit ordering key. Events execute in
@@ -46,6 +153,8 @@ class Simulation {
   /// rather than of which Simulation instance the event landed in — the
   /// bit-for-bit lanes=1 vs lanes=K contract rests on this. `group` must be
   /// non-zero and (group, seq) pairs must never repeat at the same time.
+  /// Throws std::invalid_argument if `when` is NaN or `group` does not fit
+  /// in 32 bits (the queue stores it in 32).
   EventHandle schedule_keyed(SimTime when, std::uint64_t group,
                              std::uint64_t seq, EventCallback callback);
 
@@ -81,18 +190,9 @@ class Simulation {
   std::uint64_t events_executed() const { return executed_; }
 
  private:
-  struct QueuedEvent {
-    SimTime time;
-    std::uint64_t group;     ///< 0 = plain event; >0 = keyed stream id
-    std::uint64_t sequence;  ///< arrival counter (plain) or stream seq (keyed)
-    std::uint32_t slot;
-    std::uint32_t generation;
-    bool operator>(const QueuedEvent& other) const {
-      if (time != other.time) return time > other.time;
-      if (group != other.group) return group > other.group;
-      return sequence > other.sequence;
-    }
-  };
+  /// Queues `callback` at max(when, now()) under (group, seq).
+  EventHandle enqueue(SimTime when, std::uint32_t group, std::uint64_t seq,
+                      EventCallback&& callback);
 
   /// Pops the queue head and recycles its arena slot.
   void pop_and_release();
@@ -102,9 +202,7 @@ class Simulation {
   std::uint64_t executed_ = 0;
   std::size_t live_events_ = 0;
   detail::EventArena arena_;
-  std::priority_queue<QueuedEvent, std::vector<QueuedEvent>,
-                      std::greater<QueuedEvent>>
-      queue_;
+  detail::EventQueue queue_;
 };
 
 /// Repeats a callback at a fixed period until stopped. Used for the 1 s

@@ -5,7 +5,8 @@
 // that follows, the global operator new (replaced below to count calls) may
 // run at most 0.5 times per completed request. The byte-identity suites
 // cannot see a closure that silently outgrows Callback's inline buffer or
-// std::function's small-object buffer; this count can.
+// std::function's small-object buffer; this count can. A second case holds
+// the event queue's chunk pool to the same rule under 100 000 pending timers.
 //
 // Built only without -DSANITIZE: the sanitizers interpose the allocator
 // themselves.
@@ -17,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include "cluster/ntier_system.h"
+#include "common/rng.h"
 #include "experiments/scenario.h"
+#include "simcore/simulation.h"
 #include "workload/client.h"
 
 namespace {
@@ -71,6 +74,30 @@ TEST(AllocationGuard, SteadyStateRequestPathIsAllocationFree) {
   RecordProperty("completed", static_cast<int>(completed));
   EXPECT_LT(per_request, 0.5) << allocations << " allocations over "
                               << completed << " completed requests";
+}
+
+TEST(AllocationGuard, EventQueueRecyclesBucketChunks) {
+  // 100 000 think timers (exponential, mean 7 s) re-arm as they fire. Once
+  // the queue's chunk pool has reached the run's peak, refilling a bucket
+  // hands its chunks back to the free list, so re-arming allocates nothing.
+  struct Timers {
+    Simulation sim;
+    Rng rng{5};
+    void arm() {
+      sim.schedule_after(rng.exponential(7.0), [this] { arm(); });
+    }
+  } timers;
+  for (int i = 0; i < 100000; ++i) timers.arm();
+
+  timers.sim.run_until(60.0);  // warm-up: every bucket has cycled
+  const std::uint64_t allocations_before = g_allocations;
+  const std::uint64_t executed_before = timers.sim.events_executed();
+  timers.sim.run_until(200.0);
+  const std::uint64_t allocations = g_allocations - allocations_before;
+
+  ASSERT_GT(timers.sim.events_executed() - executed_before, 1000000u);
+  RecordProperty("allocations", static_cast<int>(allocations));
+  EXPECT_LE(allocations, 8u);
 }
 
 }  // namespace
