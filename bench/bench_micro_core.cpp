@@ -3,6 +3,10 @@
 // traffic, interval aggregation, scatter folding, and estimation. These
 // bound the cost per simulated event — what the wall-clock time of every
 // figure bench is made of.
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -53,9 +57,9 @@ void BM_EventCancelHeavy(benchmark::State& state) {
 BENCHMARK(BM_EventCancelHeavy);
 
 void BM_EventChurnScheduleCancelFire(benchmark::State& state) {
-  // The timer-reschedule pattern every PS resource and monitor runs:
-  // schedule a completion, cancel it when the share changes, schedule a
-  // replacement — the arena's allocate/release fast path under a live queue.
+  // The cancel-and-replace pattern: schedule an event, cancel it, schedule
+  // a replacement — the arena's allocate/release fast path under a live
+  // queue. (The PS station re-arms a Timer instead; see BM_PsTimerRearm.)
   const auto live = static_cast<std::size_t>(state.range(0));
   Rng rng(13);
   for (auto _ : state) {
@@ -127,6 +131,33 @@ void BM_PsResourceChurn(benchmark::State& state) {
   state.SetItemsProcessed(2000 * state.iterations());
 }
 BENCHMARK(BM_PsResourceChurn)->Arg(4)->Arg(32)->Arg(128)->Arg(512)->Arg(2048);
+
+void BM_PsTimerRearm(benchmark::State& state) {
+  // The completion-timer path as a chain run drives it: N live PS stations
+  // (one per VM), four closed-loop jobs each; a completion waits a short
+  // think event, then resubmits. Every arrival and departure re-times its
+  // station's completion timer. One item is one executed event.
+  struct Churn {
+    Simulation sim;
+    Rng rng{23};
+    std::vector<std::unique_ptr<ProcessorSharingResource>> cpus;
+    void submit(std::size_t cpu) {
+      cpus[cpu]->submit(rng.exponential(0.004), [this, cpu] {
+        sim.schedule_after(rng.exponential(0.001),
+                           [this, cpu] { submit(cpu); });
+      });
+    }
+  };
+  Churn churn;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    churn.cpus.push_back(std::make_unique<ProcessorSharingResource>(
+        churn.sim, 2, 1.0, ContentionModel{3.0, 0.05, 1.0}));
+    for (int j = 0; j < 4; ++j) churn.submit(churn.cpus.size() - 1);
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(churn.sim.step());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PsTimerRearm)->Arg(1)->Arg(8);
 
 void BM_WarehouseIngestQuery(benchmark::State& state) {
   // The monitoring hot path: 4 servers pushing 50 ms samples into the

@@ -6,6 +6,13 @@
 
 namespace conscale {
 
+namespace {
+// Mantissas (in frexp's [0.5, 1)) at or above this lie within a relative
+// 2^-30 of the next power of two, where std::log2 may round up. Infinity and
+// NaN land there too, so they take the libm path as before.
+constexpr double kLog2RoundingBand = 1.0 - 0x1.0p-30;
+}  // namespace
+
 LinearHistogram::LinearHistogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)) {
   if (buckets == 0 || hi <= lo) {
@@ -67,8 +74,17 @@ LogHistogram::LogHistogram(double unit, std::size_t sub_buckets)
 std::size_t LogHistogram::index_for(double value) const {
   if (value <= unit_) return 0;
   const double scaled = value / unit_;
-  const int power = std::min(62, static_cast<int>(std::log2(scaled)));
-  const double base = std::exp2(static_cast<double>(power));
+  // The octave is frexp's exponent minus one (scaled = m * 2^e, m in
+  // [0.5, 1)). The bucket layout was defined by truncating std::log2, which
+  // may round up to the next integer just below a power of two, so that
+  // narrow band keeps the libm call and every index stays what it was.
+  int exponent = 0;
+  const double mantissa = std::frexp(scaled, &exponent);
+  const int octave = mantissa < kLog2RoundingBand
+                         ? exponent - 1
+                         : static_cast<int>(std::log2(scaled));
+  const int power = std::min(62, octave);
+  const double base = std::ldexp(1.0, power);
   const double frac = (scaled - base) / base;  // [0,1) within the octave
   auto sub = static_cast<std::size_t>(frac * static_cast<double>(sub_buckets_));
   sub = std::min(sub, sub_buckets_ - 1);

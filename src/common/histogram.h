@@ -59,8 +59,10 @@ class LogHistogram {
   /// empty. Resolution is the bucket width at the threshold (~3%).
   double fraction_below(double threshold) const;
 
- private:
+  /// Bucket that add(value) counts `value` in (the layout, for tests).
   std::size_t index_for(double value) const;
+
+ private:
   double value_for(std::size_t index) const;
 
   double unit_;

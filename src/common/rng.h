@@ -33,6 +33,25 @@ inline std::uint64_t rotl(std::uint64_t x, int k) {
 
 }  // namespace detail
 
+/// A log-normal's draw constants, from the mean and coefficient of variation
+/// of the *resulting* distribution. Computing them once per (mean, cv) saves
+/// two `log`s and a `sqrt` per draw; the expressions are the ones
+/// Rng::lognormal_mean_cv always used, so the draws are the same doubles.
+struct LognormalParams {
+  double mean = 0.0;
+  double cv = 0.0;
+  double mu = 0.0;     ///< mean of the underlying normal
+  double sigma = 0.0;  ///< standard deviation of the underlying normal
+
+  LognormalParams() = default;
+  LognormalParams(double mean_in, double cv_in) : mean(mean_in), cv(cv_in) {
+    if (mean <= 0.0 || cv <= 0.0) return;
+    const double sigma2 = std::log(1.0 + cv * cv);
+    mu = std::log(mean) - 0.5 * sigma2;
+    sigma = std::sqrt(sigma2);
+  }
+};
+
 /// xoshiro256** PRNG with distribution helpers used by the workload and
 /// service-time models. Satisfies UniformRandomBitGenerator.
 class Rng {
@@ -123,11 +142,14 @@ class Rng {
   /// Log-normal parameterized by the mean and coefficient of variation of the
   /// *resulting* distribution (convenient for service-time models).
   double lognormal_mean_cv(double mean, double cv) {
-    if (mean <= 0.0) return 0.0;
-    if (cv <= 0.0) return mean;
-    const double sigma2 = std::log(1.0 + cv * cv);
-    const double mu = std::log(mean) - 0.5 * sigma2;
-    return std::exp(normal(mu, std::sqrt(sigma2)));
+    return lognormal(LognormalParams(mean, cv));
+  }
+
+  /// Log-normal with precomputed constants (see LognormalParams).
+  double lognormal(const LognormalParams& params) {
+    if (params.mean <= 0.0) return 0.0;
+    if (params.cv <= 0.0) return params.mean;
+    return std::exp(normal(params.mu, params.sigma));
   }
 
   /// Poisson-distributed count with the given mean (Knuth for small means,

@@ -26,13 +26,12 @@ ProcessorSharingResource::ProcessorSharingResource(Simulation& sim, int cores,
                                                    double speed,
                                                    ContentionModel contention)
     : sim_(sim), cores_(cores), speed_(speed), contention_(contention),
-      last_update_(sim.now()) {
+      last_update_(sim.now()),
+      completion_timer_(sim, [](void* self) {
+        static_cast<ProcessorSharingResource*>(self)->on_completion_event();
+      }, this) {
   assert(cores_ >= 1);
   assert(speed_ > 0.0);
-}
-
-ProcessorSharingResource::~ProcessorSharingResource() {
-  completion_event_.cancel();
 }
 
 void ProcessorSharingResource::heap_push(HeapEntry entry) {
@@ -76,11 +75,26 @@ void ProcessorSharingResource::free_slot(std::uint32_t slot) {
   --active_;
 }
 
-double ProcessorSharingResource::per_job_rate() const {
+double ProcessorSharingResource::per_job_rate() {
   const auto n = static_cast<double>(active_);
   if (n == 0.0) return 0.0;
   const double share = std::min(1.0, static_cast<double>(cores_) / n);
-  return speed_ * share * contention_.efficiency(n);
+  if (active_ >= efficiency_.size()) efficiency_.resize(active_ + 1, -1.0);
+  double& efficiency = efficiency_[active_];
+  if (efficiency < 0.0) efficiency = contention_.efficiency(n);
+  return speed_ * share * efficiency;
+}
+
+ProcessorSharingResource::CompletionCallback ProcessorSharingResource::retire(
+    const HeapEntry& entry) {
+  Job& job = jobs_[entry.slot];
+  // Credit exactly the service delivered: the full demand, minus the
+  // sub-epsilon sliver when the event fired a hair early.
+  retired_work_ += std::min(entry.finish_tag, v_) - job.submit_v;
+  sum_submit_v_ -= job.submit_v;
+  CompletionCallback callback = std::move(job.on_complete);
+  free_slot(entry.slot);
+  return callback;
 }
 
 void ProcessorSharingResource::advance_to_now() {
@@ -90,16 +104,16 @@ void ProcessorSharingResource::advance_to_now() {
   if (elapsed <= 0.0 || active_ == 0) return;
   const auto n = static_cast<double>(active_);
   busy_core_seconds_ += elapsed * std::min(n, static_cast<double>(cores_));
-  const double served = elapsed * per_job_rate();
+  const double served = elapsed * rate_;
   if (served <= 0.0) return;
   v_ += served;
 }
 
 void ProcessorSharingResource::reschedule_completion() {
-  completion_event_.cancel();
   if (active_ == 0) {
     // Idle: rebase the virtual clock so a new busy period starts at V = 0
     // and finish tags never drift far from the magnitude of the demands.
+    completion_timer_.disarm();
     v_ = 0.0;
     sum_submit_v_ = 0.0;
     heap_.clear();
@@ -107,12 +121,10 @@ void ProcessorSharingResource::reschedule_completion() {
   }
   prune_stale_heap_top();
   assert(!heap_.empty());
-  const double rate = per_job_rate();
-  assert(rate > 0.0);
+  rate_ = per_job_rate();
+  assert(rate_ > 0.0);
   const double min_remaining = heap_.front().finish_tag - v_;
-  const double delay = std::max(min_remaining, 0.0) / rate;
-  completion_event_ =
-      sim_.schedule_after(delay, [this] { on_completion_event(); });
+  completion_timer_.arm_after(std::max(min_remaining, 0.0) / rate_);
 }
 
 void ProcessorSharingResource::on_completion_event() {
@@ -129,20 +141,30 @@ void ProcessorSharingResource::on_completion_event() {
   if (min_remaining > threshold && min_remaining < 1e-9) {
     threshold = min_remaining;
   }
+  if (min_remaining > threshold) {
+    reschedule_completion();
+    return;
+  }
+  const HeapEntry first = heap_.front();
+  heap_pop();
+  prune_stale_heap_top();
+  if (heap_.empty() || heap_.front().finish_tag - v_ > threshold) {
+    // The common case: one job reached its tag alone, so there is no tie
+    // to order.
+    CompletionCallback callback = retire(first);
+    reschedule_completion();
+    callback();
+    return;
+  }
   auto done = std::move(done_scratch_);
   done.clear();
+  done.emplace_back(first.id, retire(first));
   while (!heap_.empty()) {
     prune_stale_heap_top();
     if (heap_.empty() || heap_.front().finish_tag - v_ > threshold) break;
     const HeapEntry top = heap_.front();
     heap_pop();
-    Job& job = jobs_[top.slot];
-    // Credit exactly the service delivered: the full demand, minus the
-    // sub-epsilon sliver when the event fired a hair early.
-    retired_work_ += std::min(top.finish_tag, v_) - job.submit_v;
-    sum_submit_v_ -= job.submit_v;
-    done.emplace_back(top.id, std::move(job.on_complete));
-    free_slot(top.slot);
+    done.emplace_back(top.id, retire(top));
   }
   // Tied jobs complete in submission order regardless of heap layout.
   std::sort(done.begin(), done.end(),
@@ -221,6 +243,7 @@ void ProcessorSharingResource::set_speed(double speed) {
 void ProcessorSharingResource::set_contention(ContentionModel contention) {
   advance_to_now();
   contention_ = contention;
+  efficiency_.clear();
   reschedule_completion();
 }
 

@@ -19,7 +19,10 @@
 // V reaches V_s + w; that *finish tag* is immutable, so jobs live in a
 // min-heap keyed on (finish tag, id). Advancing to now is O(1) (bump V),
 // a completion pops in O(log n), and abort just frees the job's slot — its
-// heap entry is stale and gets skipped lazily. Jobs live in a recycled slot
+// heap entry is stale and gets skipped lazily. The next completion is one
+// re-armable kernel Timer, moved on every arrival and departure, and the
+// common completion — one job reaching its tag alone — skips the tie
+// scratch and its sort. Jobs live in a recycled slot
 // table (a vector plus a free list), so a warm resource submits and
 // completes without touching the heap allocator. A busy period at
 // concurrency n therefore costs O(log n) per event instead of the O(n)
@@ -46,7 +49,6 @@ class ProcessorSharingResource {
 
   ProcessorSharingResource(Simulation& sim, int cores, double speed = 1.0,
                            ContentionModel contention = ContentionModel::none());
-  ~ProcessorSharingResource();
   ProcessorSharingResource(const ProcessorSharingResource&) = delete;
   ProcessorSharingResource& operator=(const ProcessorSharingResource&) = delete;
 
@@ -114,7 +116,10 @@ class ProcessorSharingResource {
   std::uint32_t find_slot(JobId id) const;
   /// Returns a completed or aborted job's slot to the free list.
   void free_slot(std::uint32_t slot);
-  double per_job_rate() const;
+  double per_job_rate();
+  /// Retires a job whose tag the clock reached: credits its service, frees
+  /// its slot and hands back its callback.
+  CompletionCallback retire(const HeapEntry& entry);
   void advance_to_now();
   void reschedule_completion();
   void on_completion_event();
@@ -135,7 +140,14 @@ class ProcessorSharingResource {
   std::vector<HeapEntry> heap_;  ///< min-heap on (finish_tag, id)
   JobId next_id_ = 1;
   SimTime last_update_ = 0.0;
-  EventHandle completion_event_;
+  /// per_job_rate() as of the last reschedule_completion, which runs after
+  /// every change to the active set or the configuration, so it holds the
+  /// rate until the next advance_to_now.
+  double rate_ = 0.0;
+  Timer completion_timer_;
+  /// ContentionModel::efficiency by active-job count, -1 where not yet
+  /// computed; cleared by set_contention.
+  std::vector<double> efficiency_;
 
   /// Virtual service clock: cumulative per-job service delivered during the
   /// current busy period (rebased to 0 whenever the resource goes idle, so

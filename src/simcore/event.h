@@ -10,11 +10,12 @@
 // Storage: callbacks live in an EventArena owned by the Simulation — a
 // slot + generation pool with a free list, so scheduling an event on a warm
 // simulation performs no heap allocation (the dominant cost of the old
-// one-shared_ptr-per-event scheme; the processor-sharing resource cancels
-// and reschedules completions every time its active set changes, so the
-// schedule/cancel path is the hottest in the kernel). The callback itself is
-// a Callback (simcore/callback.h), whose 32-byte inline buffer holds every
+// one-shared_ptr-per-event scheme). The callback itself is a Callback
+// (simcore/callback.h), whose 32-byte inline buffer holds every
 // request-path closure, so the 48-byte slot needs no allocation either.
+// An owner that keeps re-timing one future event (the processor-sharing
+// station's next completion) uses a re-armable Timer instead
+// (simulation.h): it takes no arena slot and leaves no cancelled entry.
 //
 // An EventHandle is a {slot index, generation} pair: the generation check
 // makes handles to fired or cancelled-and-reused slots inert, keeping
@@ -73,6 +74,9 @@ class EventArena {
     slot.next_free = free_head_;
     free_head_ = index;
   }
+
+  /// Slots ever allocated: the pool's high-water mark.
+  std::size_t size() const { return slots_.size(); }
 
   std::uint32_t generation(std::uint32_t index) const {
     return slots_[index].generation;

@@ -11,11 +11,20 @@ namespace conscale {
 
 namespace {
 
-std::uint64_t time_key(SimTime t) {
-  return std::bit_cast<std::uint64_t>(t + 0.0);
-}
+using detail::time_key;
 
 SimTime key_time(std::uint64_t key) { return std::bit_cast<SimTime>(key); }
+
+/// True if `timer` runs before `event` under the full (time, group, seq)
+/// order. A timer is a plain event: group 0, sequence from the same arrival
+/// counter as schedule_at(), so the merge reproduces the single-queue order.
+bool timer_first(const detail::TimerHeap::Entry& timer,
+                 const detail::QueuedEvent& event) {
+  constexpr std::uint32_t kTimerGroup = 0;
+  if (timer.key != event.key) return timer.key < event.key;
+  if (kTimerGroup != event.group) return kTimerGroup < event.group;
+  return timer.sequence < event.sequence;
+}
 
 }  // namespace
 
@@ -113,60 +122,48 @@ void Simulation::pop_and_release() {
   --live_events_;
 }
 
-bool Simulation::step() {
-  while (!queue_.empty()) {
-    const detail::QueuedEvent entry = queue_.top();
-    if (arena_.cancelled(entry.slot)) {
-      pop_and_release();
-      continue;
-    }
-    now_ = key_time(entry.key);
+void Simulation::fire_next() {
+  if (!timers_.empty() &&
+      (queue_.empty() || timer_first(timers_.top(), queue_.top()))) {
+    now_ = key_time(timers_.top().key);
     ++executed_;
-    // Move the callback out and recycle the slot before invoking: a handle
-    // held by the callback's owner reports !pending() during the call (the
-    // generation already moved on), and the callback may schedule freely —
-    // including reusing this very slot — without touching freed state.
-    EventCallback callback = arena_.take_callback(entry.slot);
-    pop_and_release();
-    callback();
-    return true;
+    // pop() disarms the timer and copies out its target, so the kernel
+    // holds nothing of the timer while it runs.
+    const auto [fire, context] = timers_.pop();
+    fire(context);
+    return;
   }
-  return false;
+  const detail::QueuedEvent entry = queue_.top();
+  now_ = key_time(entry.key);
+  ++executed_;
+  // Move the callback out and recycle the slot before invoking: a handle
+  // held by the callback's owner reports !pending() during the call (the
+  // generation already moved on), and the callback may schedule freely —
+  // including reusing this very slot — without touching freed state.
+  EventCallback callback = arena_.take_callback(entry.slot);
+  pop_and_release();
+  callback();
+}
+
+bool Simulation::step() {
+  if (!prune()) return false;
+  fire_next();
+  return true;
 }
 
 void Simulation::run_until(SimTime deadline) {
-  while (!queue_.empty()) {
-    // Skip cancelled entries without advancing the clock.
-    if (arena_.cancelled(queue_.top().slot)) {
-      pop_and_release();
-      continue;
-    }
-    if (key_time(queue_.top().key) > deadline) break;
-    step();
-  }
+  // prune() skips cancelled entries without advancing the clock.
+  while (prune() && key_time(head_key()) <= deadline) fire_next();
   now_ = std::max(now_, deadline);
 }
 
 void Simulation::run_before(SimTime bound) {
-  while (!queue_.empty()) {
-    if (arena_.cancelled(queue_.top().slot)) {
-      pop_and_release();
-      continue;
-    }
-    if (key_time(queue_.top().key) >= bound) break;
-    step();
-  }
+  while (prune() && key_time(head_key()) < bound) fire_next();
 }
 
 SimTime Simulation::next_event_time() {
-  while (!queue_.empty()) {
-    if (arena_.cancelled(queue_.top().slot)) {
-      pop_and_release();
-      continue;
-    }
-    return key_time(queue_.top().key);
-  }
-  return std::numeric_limits<SimTime>::infinity();
+  if (!prune()) return std::numeric_limits<SimTime>::infinity();
+  return key_time(head_key());
 }
 
 void Simulation::run_all() {

@@ -12,9 +12,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/time_units.h"
@@ -23,6 +26,11 @@
 namespace conscale {
 
 namespace detail {
+
+/// The queue key of time `t`: its IEEE-754 bits, with -0.0 normalised to 0.
+inline std::uint64_t time_key(SimTime t) {
+  return std::bit_cast<std::uint64_t>(t + 0.0);
+}
 
 /// One queued event, 24 bytes. `key` is the IEEE-754 bit pattern of the
 /// event time normalised by `+ 0.0` (so -0.0 keys as 0); for the
@@ -123,6 +131,139 @@ class EventQueue {
   std::vector<std::unique_ptr<Chunk>> chunks_;  ///< owns every chunk
 };
 
+/// Indexed binary min-heap of re-armable timers, kept beside the EventQueue.
+///
+/// A timer is a slot holding a fire function and its context; arming gives
+/// it a (key, sequence) like any plain event and places it in `heap_`, and
+/// re-arming moves it in place, so an owner that re-times one completion
+/// over and over (the processor-sharing station) leaves no cancelled
+/// entries behind. The heap only ever holds the armed timers, a handful per
+/// Simulation, so its sifts are short. Released slots are recycled.
+class TimerHeap {
+ public:
+  using Fire = void (*)(void*);
+
+  struct Entry {
+    std::uint64_t key;
+    std::uint64_t sequence;
+    std::uint32_t slot;
+  };
+
+  /// Claims a disarmed slot that calls `fire(context)`.
+  std::uint32_t add(Fire fire, void* context) {
+    std::uint32_t slot;
+    if (free_head_ != kNone) {
+      slot = free_head_;
+      free_head_ = slots_[slot].next_free;
+    } else {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    }
+    slots_[slot] = Slot{fire, context, kNone, kNone};
+    return slot;
+  }
+
+  /// Disarms `slot` and returns it to the free list.
+  void remove(std::uint32_t slot) {
+    disarm(slot);
+    slots_[slot].next_free = free_head_;
+    free_head_ = slot;
+  }
+
+  /// Arms (or re-arms) `slot` at (key, sequence).
+  void arm(std::uint32_t slot, std::uint64_t key, std::uint64_t sequence) {
+    std::uint32_t pos = slots_[slot].pos;
+    if (pos == kNone) {
+      pos = static_cast<std::uint32_t>(heap_.size());
+      heap_.push_back(Entry{key, sequence, slot});
+    } else {
+      heap_[pos].key = key;
+      heap_[pos].sequence = sequence;
+    }
+    place(sift_up(pos));
+  }
+
+  void disarm(std::uint32_t slot) {
+    const std::uint32_t pos = slots_[slot].pos;
+    if (pos == kNone) return;
+    slots_[slot].pos = kNone;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (pos == heap_.size()) return;
+    heap_[pos] = last;
+    place(sift_up(pos));
+  }
+
+  bool armed(std::uint32_t slot) const {
+    return slots_[slot].pos != kNone;
+  }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
+
+  /// The earliest armed timer; the heap must not be empty.
+  const Entry& top() const { return heap_.front(); }
+
+  /// Disarms the earliest timer and hands back what it calls.
+  std::pair<Fire, void*> pop() {
+    const Slot& slot = slots_[heap_.front().slot];
+    const std::pair<Fire, void*> target{slot.fire, slot.context};
+    disarm(heap_.front().slot);
+    return target;
+  }
+
+ private:
+  /// No heap position (disarmed), or the end of the free list.
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  struct Slot {
+    Fire fire = nullptr;
+    void* context = nullptr;
+    std::uint32_t pos = kNone;        ///< index in heap_ while armed
+    std::uint32_t next_free = kNone;  ///< free-list link while released
+  };
+
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.key != b.key) return a.key < b.key;
+    return a.sequence < b.sequence;
+  }
+
+  /// Moves heap_[pos] up past larger parents; returns where it now sits.
+  std::uint32_t sift_up(std::uint32_t pos) {
+    const Entry entry = heap_[pos];
+    while (pos > 0) {
+      const std::uint32_t parent = (pos - 1) / 2;
+      if (!before(entry, heap_[parent])) break;
+      heap_[pos] = heap_[parent];
+      slots_[heap_[pos].slot].pos = pos;
+      pos = parent;
+    }
+    heap_[pos] = entry;
+    return pos;
+  }
+
+  /// Moves heap_[pos] down past smaller children and records every slot's
+  /// final position.
+  void place(std::uint32_t pos) {
+    const Entry entry = heap_[pos];
+    const auto size = static_cast<std::uint32_t>(heap_.size());
+    for (;;) {
+      std::uint32_t child = 2 * pos + 1;
+      if (child >= size) break;
+      if (child + 1 < size && before(heap_[child + 1], heap_[child])) ++child;
+      if (!before(heap_[child], entry)) break;
+      heap_[pos] = heap_[child];
+      slots_[heap_[pos].slot].pos = pos;
+      pos = child;
+    }
+    heap_[pos] = entry;
+    slots_[entry.slot].pos = pos;
+  }
+
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNone;
+};
+
 }  // namespace detail
 
 class Simulation {
@@ -186,10 +327,34 @@ class Simulation {
   /// Drains every queued event (use only in tests / bounded scenarios).
   void run_all();
 
-  std::size_t pending_events() const { return live_events_; }
+  /// Queued events (cancelled ones included until they reach the head)
+  /// plus armed timers.
+  std::size_t pending_events() const { return live_events_ + timers_.size(); }
+  /// Events and timer firings executed so far.
   std::uint64_t events_executed() const { return executed_; }
+  /// Event slots the arena holds (its high-water mark; timers take none).
+  std::size_t event_slots() const { return arena_.size(); }
 
  private:
+  friend class Timer;
+
+  /// Drops cancelled queue heads; true if an event or a timer is pending.
+  bool prune() {
+    while (!queue_.empty() && arena_.cancelled(queue_.top().slot)) {
+      pop_and_release();
+    }
+    return !queue_.empty() || !timers_.empty();
+  }
+  /// Time key of the earliest pending event or timer; prune() must have
+  /// returned true.
+  std::uint64_t head_key() {
+    if (timers_.empty()) return queue_.top().key;
+    if (queue_.empty()) return timers_.top().key;
+    return std::min(timers_.top().key, queue_.top().key);
+  }
+  /// Executes the earliest pending event or timer; prune() must have
+  /// returned true.
+  void fire_next();
   /// Queues `callback` at max(when, now()) under (group, seq).
   EventHandle enqueue(SimTime when, std::uint32_t group, std::uint64_t seq,
                       EventCallback&& callback);
@@ -203,6 +368,45 @@ class Simulation {
   std::size_t live_events_ = 0;
   detail::EventArena arena_;
   detail::EventQueue queue_;
+  detail::TimerHeap timers_;
+};
+
+/// A re-armable one-shot timer on a Simulation. It fires as a plain event:
+/// each arm takes the next arrival counter and the clamped time exactly as
+/// schedule_at() would, so replacing a cancel + schedule pair with a re-arm
+/// fires at the same place in the event order. Arming an armed timer moves
+/// it; firing disarms it before `fire(context)` runs, and the kernel touches
+/// none of the timer's state afterwards, so the callback may re-arm it or
+/// destroy its owner. The timer must not outlive its Simulation.
+class Timer {
+ public:
+  using Fire = detail::TimerHeap::Fire;
+
+  Timer(Simulation& sim, Fire fire, void* context)
+      : sim_(sim), slot_(sim.timers_.add(fire, context)) {}
+  ~Timer() { sim_.timers_.remove(slot_); }
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// Arms the timer at absolute time `when`, clamped to now(). Throws
+  /// std::invalid_argument if `when` is NaN.
+  void arm_at(SimTime when) {
+    if (std::isnan(when)) {
+      throw std::invalid_argument("Timer::arm_at: NaN time");
+    }
+    sim_.timers_.arm(slot_, detail::time_key(std::max(when, sim_.now_)),
+                     sim_.next_sequence_++);
+  }
+  /// Arms the timer `delay` seconds from now (negative clamps to 0).
+  void arm_after(SimDuration delay) {
+    arm_at(sim_.now_ + std::max(delay, 0.0));
+  }
+  void disarm() { sim_.timers_.disarm(slot_); }
+  bool armed() const { return sim_.timers_.armed(slot_); }
+
+ private:
+  Simulation& sim_;
+  std::uint32_t slot_;
 };
 
 /// Repeats a callback at a fixed period until stopped. Used for the 1 s

@@ -1,5 +1,6 @@
 #include "tier/server.h"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -80,6 +81,16 @@ void Server::release_visit(std::uint32_t slot) {
   free_head_ = slot;
 }
 
+double Server::draw_demand(double mean, double cv) {
+  const std::uint64_t hash =
+      (std::bit_cast<std::uint64_t>(mean) ^
+       std::rotl(std::bit_cast<std::uint64_t>(cv), 29)) *
+      0x9e3779b97f4a7c15ULL;
+  LognormalParams& params = lognormal_memo_[hash >> (64 - kMemoBits)];
+  if (params.mean != mean || params.cv != cv) params = {mean, cv};
+  return rng_.lognormal(params);
+}
+
 void Server::handle(const RequestContext& ctx, Completion done) {
   const auto tier = static_cast<std::size_t>(params_.tier_index);
   if (ctx.request_class == nullptr ||
@@ -112,7 +123,7 @@ void Server::start_processing(VisitRef ref) {
     if (h.on_admitted) h.on_admitted(sim_.now());
   }
   const double cpu_pre =
-      demand.cpu_pre <= 0.0 ? 0.0 : rng_.lognormal_mean_cv(demand.cpu_pre, cv);
+      demand.cpu_pre <= 0.0 ? 0.0 : draw_demand(demand.cpu_pre, cv);
   if (cpu_pre > 0.0) {
     cpu_.submit(cpu_pre, [this, ref] { after_cpu(ref); });
   } else {
@@ -127,7 +138,7 @@ void Server::after_cpu(VisitRef ref) {
   const double disk_demand =
       visit->demand->disk <= 0.0
           ? 0.0
-          : rng_.lognormal_mean_cv(visit->demand->disk, cv);
+          : draw_demand(visit->demand->disk, cv);
   if (disk_demand > 0.0) {
     disk_.submit(disk_demand, [this, ref] { after_disk(ref); });
   } else {
@@ -142,7 +153,7 @@ void Server::after_disk(VisitRef ref) {
   const double delay =
       visit->demand->pure_delay <= 0.0
           ? 0.0
-          : rng_.lognormal_mean_cv(visit->demand->pure_delay, cv);
+          : draw_demand(visit->demand->pure_delay, cv);
   if (delay > 0.0) {
     sim_.schedule_after(delay, [this, ref] { after_delay(ref); });
   } else {
@@ -166,7 +177,7 @@ void Server::run_downstream_calls(VisitRef ref) {
     const double cpu_post =
         visit->demand->cpu_post <= 0.0
             ? 0.0
-            : rng_.lognormal_mean_cv(visit->demand->cpu_post, cv);
+            : draw_demand(visit->demand->cpu_post, cv);
     if (cpu_post > 0.0) {
       cpu_.submit(cpu_post, [this, ref] { finish(ref); });
     } else {

@@ -29,6 +29,7 @@
 // them without the model knowing about monitoring at all.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -161,6 +162,12 @@ class Server {
   VisitRef claim_visit();
   void release_visit(std::uint32_t slot);
 
+  /// Draws a log-normal demand with the given mean and cv from rng_. The
+  /// draw constants are memoized by the *values* (mean, cv), not by the
+  /// PhaseDemand's address: RequestMix::apply_dataset_scale rescales
+  /// demands in place mid-run.
+  double draw_demand(double mean, double cv);
+
   // The pipeline stages, in order; each draws its demand from rng_ exactly
   // where the request passes that stage.
   void start_processing(VisitRef ref);
@@ -182,6 +189,11 @@ class Server {
   std::unique_ptr<TokenPool> downstream_pool_;
   DownstreamFn downstream_;
   std::vector<Hooks> hooks_;
+  /// Direct-mapped memo of LognormalParams, indexed by a hash of (mean, cv);
+  /// a collision only recomputes. A mix has a few dozen (class, phase)
+  /// demands per tier.
+  static constexpr int kMemoBits = 6;
+  std::array<LognormalParams, std::size_t{1} << kMemoBits> lognormal_memo_{};
   std::vector<Visit> visits_;  ///< the pool; slots are recycled
   std::uint32_t free_head_ = kNoVisit;
   std::uint32_t live_head_ = kNoVisit;  ///< oldest in-flight visit

@@ -1,6 +1,8 @@
 #include "common/histogram.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -136,6 +138,53 @@ TEST(LogHistogram, MergeLayoutMismatchThrows) {
   LogHistogram a(1e-4, 32);
   LogHistogram b(1e-3, 32);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
+}
+
+// The bucket formula the layout was defined by: truncate std::log2 for the
+// octave and divide by std::exp2 of it. index_for must match it exactly.
+std::size_t reference_index(double value, double unit, std::size_t sub_buckets,
+                            std::size_t bucket_count) {
+  if (value <= unit) return 0;
+  const double scaled = value / unit;
+  const int power = std::min(62, static_cast<int>(std::log2(scaled)));
+  const double base = std::exp2(static_cast<double>(power));
+  const double frac = (scaled - base) / base;
+  auto sub = static_cast<std::size_t>(frac * static_cast<double>(sub_buckets));
+  sub = std::min(sub, sub_buckets - 1);
+  const std::size_t idx = static_cast<std::size_t>(power) * sub_buckets + sub;
+  return std::min(idx, bucket_count - 1);
+}
+
+TEST(LogHistogram, IndexMatchesLog2FormulaAtOctaveEdges) {
+  for (const double unit : {1e-4, 1e-3, 1.0, 0.3}) {
+    LogHistogram h(unit, 32);
+    for (int k = 0; k <= 62; ++k) {
+      const double edge = std::ldexp(unit, k);
+      double below = edge;
+      double above = edge;
+      for (int step = 0; step < 4; ++step) {
+        for (const double v : {below, above}) {
+          EXPECT_EQ(h.index_for(v), reference_index(v, unit, 32, 64 * 32))
+              << "unit=" << unit << " k=" << k << " v=" << v;
+        }
+        below = std::nextafter(below, 0.0);
+        above = std::nextafter(above, HUGE_VAL);
+      }
+    }
+  }
+}
+
+TEST(LogHistogram, IndexMatchesLog2FormulaOnRandomValues) {
+  Rng rng(99);
+  LogHistogram h(1e-4, 32);
+  LogHistogram coarse(1e-3, 7);
+  for (int i = 0; i < 1000000; ++i) {
+    // Log-uniform over 2^-20 .. 2^70 times the unit, so every octave and
+    // the clamp beyond the last one are hit.
+    const double v = std::ldexp(1e-4, -20) * std::exp2(rng.uniform(0.0, 90.0));
+    ASSERT_EQ(h.index_for(v), reference_index(v, 1e-4, 32, 64 * 32)) << v;
+    ASSERT_EQ(coarse.index_for(v), reference_index(v, 1e-3, 7, 64 * 7)) << v;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include "common/rng.h"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/stats.h"
@@ -95,6 +99,35 @@ TEST(Rng, LognormalMeanCvMoments) {
   EXPECT_NEAR(s.mean(), 4.0, 0.05);
   EXPECT_NEAR(s.stddev() / s.mean(), 0.5, 0.02);
   EXPECT_GT(s.min(), 0.0);
+}
+
+TEST(Rng, LognormalParamsDrawTheSameDoubles) {
+  // The precomputed constants must reproduce the per-draw formula bit for
+  // bit, or every service demand (and so every run's output) would move.
+  auto per_draw = [](Rng& rng, double mean, double cv) {
+    const double sigma2 = std::log(1.0 + cv * cv);
+    const double mu = std::log(mean) - 0.5 * sigma2;
+    return std::exp(rng.normal(mu, std::sqrt(sigma2)));
+  };
+  const double cases[][2] = {{4.0, 0.5}, {0.0123, 0.25}, {7.5e-4, 0.3},
+                             {2.0, 1.7}, {1e-9, 1e-3}, {3.0, 0.0},
+                             {0.0, 0.5}, {-1.0, 0.5}};
+  for (const auto& [mean, cv] : cases) {
+    Rng a(21);
+    Rng b(21);
+    Rng c(21);
+    const LognormalParams params(mean, cv);
+    for (int i = 0; i < 1000; ++i) {
+      const double cached = a.lognormal(params);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cached),
+                std::bit_cast<std::uint64_t>(b.lognormal_mean_cv(mean, cv)))
+          << "mean=" << mean << " cv=" << cv << " draw " << i;
+      if (mean > 0.0 && cv > 0.0) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(cached),
+                  std::bit_cast<std::uint64_t>(per_draw(c, mean, cv)));
+      }
+    }
+  }
 }
 
 TEST(Rng, LognormalDegenerateCases) {

@@ -6,20 +6,26 @@
 // run at most 0.5 times per completed request. The byte-identity suites
 // cannot see a closure that silently outgrows Callback's inline buffer or
 // std::function's small-object buffer; this count can. A second case holds
-// the event queue's chunk pool to the same rule under 100 000 pending timers.
+// the event queue's chunk pool to the same rule under 100 000 pending timers,
+// and a third holds processor-sharing churn to re-arming its completion
+// timer: no event slots, no cancelled entries piling up in the queue.
 //
 // Built only without -DSANITIZE: the sanitizers interpose the allocator
 // themselves.
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/ntier_system.h"
 #include "common/rng.h"
 #include "experiments/scenario.h"
+#include "resources/ps_resource.h"
 #include "simcore/simulation.h"
 #include "workload/client.h"
 
@@ -97,6 +103,52 @@ TEST(AllocationGuard, EventQueueRecyclesBucketChunks) {
 
   ASSERT_GT(timers.sim.events_executed() - executed_before, 1000000u);
   RecordProperty("allocations", static_cast<int>(allocations));
+  EXPECT_LE(allocations, 8u);
+}
+
+TEST(AllocationGuard, PsChurnReArmsWithoutEventSlots) {
+  // Four contended PS stations, eight closed-loop jobs each: a completion
+  // waits a short think event, then resubmits. Every arrival and departure
+  // re-times the station's completion, which re-arms its timer in place, so
+  // once warm the event arena keeps its size and the pending count stays at
+  // the think events plus one timer per station.
+  constexpr int kStations = 4;
+  constexpr int kJobs = 8;
+  struct Churn {
+    Simulation sim;
+    Rng rng{9};
+    std::vector<std::unique_ptr<ProcessorSharingResource>> cpus;
+    std::uint64_t completed = 0;
+    void submit(std::size_t cpu) {
+      cpus[cpu]->submit(rng.exponential(0.004), [this, cpu] {
+        ++completed;
+        sim.schedule_after(rng.exponential(0.001), [this, cpu] {
+          submit(cpu);
+        });
+      });
+    }
+  } churn;
+  for (int i = 0; i < kStations; ++i) {
+    churn.cpus.push_back(std::make_unique<ProcessorSharingResource>(
+        churn.sim, 2, 1.0, ContentionModel{3.0, 0.05, 1.0}));
+    for (int j = 0; j < kJobs; ++j) churn.submit(churn.cpus.size() - 1);
+  }
+
+  churn.sim.run_until(5.0);  // warm-up
+  const std::size_t slots_before = churn.sim.event_slots();
+  const std::uint64_t allocations_before = g_allocations;
+  const std::uint64_t completed_before = churn.completed;
+  std::size_t pending_peak = 0;
+  for (int slice = 1; slice <= 200; ++slice) {
+    churn.sim.run_until(5.0 + 0.1 * slice);
+    pending_peak = std::max(pending_peak, churn.sim.pending_events());
+  }
+  const std::uint64_t allocations = g_allocations - allocations_before;
+
+  ASSERT_GT(churn.completed - completed_before, 20000u);
+  EXPECT_EQ(churn.sim.event_slots(), slots_before);
+  EXPECT_LE(pending_peak,
+            static_cast<std::size_t>(kStations * kJobs + kStations));
   EXPECT_LE(allocations, 8u);
 }
 

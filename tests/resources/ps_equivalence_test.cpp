@@ -105,6 +105,9 @@ Schedule make_schedule(std::uint64_t seed) {
 struct CompletionRecord {
   std::size_t index = 0;  ///< submission index (schedule + chained)
   double time = 0.0;
+  /// Jobs still active when the callback runs: tied jobs all leave before
+  /// the first of their callbacks.
+  std::size_t active = 0;
 };
 
 struct RunOutcome {
@@ -127,7 +130,7 @@ RunOutcome run_schedule(const Schedule& sched) {
   // Chained resubmission must stop eventually; the works table is the cap.
   std::function<void(std::size_t)> on_complete =
       [&](std::size_t index) {
-        out.completions.push_back({index, sim.now()});
+        out.completions.push_back({index, sim.now(), cpu.active_jobs()});
         if (resubmits(index) &&
             next_index < sched.resubmit_works.size()) {
           const std::size_t idx = next_index++;
@@ -180,6 +183,7 @@ void expect_equivalent(const RunOutcome& vt, const RunOutcome& ref,
     // Identical order: the virtual-time rewrite must not reorder anything,
     // including ties (both implementations break ties in submission order).
     ASSERT_EQ(vt.completions[i].index, ref.completions[i].index);
+    EXPECT_EQ(vt.completions[i].active, ref.completions[i].active);
     const double tol =
         1e-9 * std::max(1.0, std::abs(ref.completions[i].time));
     EXPECT_NEAR(vt.completions[i].time, ref.completions[i].time, tol);
@@ -247,6 +251,60 @@ TEST(PsEquivalence, LongBusyPeriodHighConcurrency) {
     const RunOutcome ref = run_schedule<ReferencePsResource>(sched);
     expect_equivalent(vt, ref, seed);
   }
+}
+
+TEST(PsEquivalence, ContentionSwapsMidBusyPeriodAndExactTies) {
+  // Bursts of identical demands submitted at one instant share a finish tag
+  // exactly (the tied, id-ordered completion path); a lone job after each
+  // burst usually completes by itself (the one-job path). Contention swaps
+  // land while jobs are in service, so an efficiency memoized per active
+  // count under the old model would shift every later completion.
+  Schedule sched;
+  sched.initial_cores = 2;
+  sched.contention = ContentionModel{2.0, 0.05, 1.0};
+  Rng rng(41);
+  double t = 0.0;
+  for (int burst = 0; burst < 60; ++burst) {
+    t += rng.exponential(0.1);
+    Op op;
+    op.t = t;
+    op.kind = OpKind::kSubmit;
+    op.work = rng.exponential(0.3);
+    const int tied = 1 + static_cast<int>(rng.uniform_index(4));
+    for (int i = 0; i < tied; ++i) sched.ops.push_back(op);
+    op.t = t + 0.01;
+    op.work = rng.exponential(0.3);
+    sched.ops.push_back(op);
+    if (burst % 4 == 3) {
+      Op swap;
+      swap.t = t + 0.02;
+      swap.kind = OpKind::kSetContention;
+      swap.onset = 1.0 + static_cast<double>(burst % 3);
+      swap.alpha = burst % 8 == 3 ? 0.2 : 0.02;
+      swap.power = burst % 8 == 3 ? 1.5 : 1.0;
+      sched.ops.push_back(swap);
+    }
+  }
+  for (int i = 0; i < 512; ++i) {
+    sched.resubmit_works.push_back(rng.exponential(0.2));
+  }
+  const RunOutcome vt = run_schedule<ProcessorSharingResource>(sched);
+  const RunOutcome ref = run_schedule<ReferencePsResource>(sched);
+  expect_equivalent(vt, ref, 41);
+
+  // Both completion paths ran: some completions share an instant with a
+  // neighbour, others are alone.
+  std::size_t tied = 0;
+  std::size_t alone = 0;
+  const auto& done = vt.completions;
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    const bool with_prev = i > 0 && done[i - 1].time == done[i].time;
+    const bool with_next =
+        i + 1 < done.size() && done[i + 1].time == done[i].time;
+    ++(with_prev || with_next ? tied : alone);
+  }
+  EXPECT_GT(tied, 20u);
+  EXPECT_GT(alone, 20u);
 }
 
 }  // namespace
