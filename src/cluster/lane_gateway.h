@@ -2,8 +2,8 @@
 // (DESIGN.md §6.6). It terminates the client<->frontend network channel:
 // requests posted by SessionShards arrive here after the one-way network
 // latency, get re-stamped to their arrival instant, and enter the serving
-// system through a generic outcome-aware submit function (NTierSystem or
-// topology::ServiceGraph — the gateway does not care which). When the
+// system through a generic outcome-aware submit function (the laned runners
+// pass topology::ServiceGraph's). When the
 // system finishes a request, the gateway fires the metrics hooks at the
 // client-perceived completion instant and posts the reply back across the
 // same channel to the owning shard.

@@ -1,9 +1,8 @@
-// TierSystem: the abstract system-under-test contract shared by the linear
-// chain (NTierSystem) and the service-graph topology (topology::ServiceGraph).
-// Everything above the cluster layer — scaling frameworks, estimators,
-// monitoring, fault injection — talks to this interface, so a controller
-// written against "tiers" runs unmodified whether tier i is a chain position
-// or a graph node: a tier is a named, index-addressable TierGroup either way.
+// TierSystem: the system-under-test contract that scaling frameworks,
+// estimators, monitoring and fault injection program against: a tier is a
+// named, index-addressable TierGroup. topology::ServiceGraph (with its chain
+// preset NTierSystem) is the one implementation; the interface keeps the
+// layers above the cluster free of the topology module.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,9 @@
-// run_graph_scaling: the service-graph counterpart of run_scaling. Same
-// assembly order, same seed derivations, same extraction — a linear chain
-// expressed as a GraphScenario therefore produces a ScalingRunResult
-// byte-identical to run_scaling on the equivalent NTierSystem (pinned by
-// tests/topology). On top of the chain runner it adds what only graphs
-// have: admission/shedding accounting, per-cache-node hit statistics, and a
-// per-node latency breakdown.
+// run_graph_scaling: a scaling run on any GraphScenario. It builds through
+// the same RunAssembly as run_scaling (experiments/run_assembly.h), so on
+// make_linear_scenario its ScalingRunResult equals run_scaling's byte for
+// byte (pinned by tests/topology). On top it reports what only a graph
+// result carries: admission/shedding accounting, per-cache-node hit
+// statistics, and a per-node latency breakdown.
 #pragma once
 
 #include <string>
@@ -31,8 +30,9 @@ struct GraphRunResult {
 };
 
 /// `framework_ref` is a controller-registry reference, exactly as in
-/// run_scaling. Graph runs do not support session workloads
-/// (options.session_workload throws std::invalid_argument).
+/// run_scaling. Session workloads run on graphs without admission control;
+/// with admission enabled, options.session_workload throws
+/// std::invalid_argument.
 GraphRunResult run_graph_scaling(const GraphScenario& scenario,
                                  const WorkloadTrace& trace,
                                  const std::string& framework_ref,

@@ -224,19 +224,8 @@ GraphScenario make_linear_scenario(const ScenarioParams& base) {
   scenario.name = "linear";
   scenario.base = base;
 
-  const SystemConfig chain = base.system_config();
-  ServiceGraphConfig graph;
-  graph.seed = base.seed ^ 0x77;  // no cache node ever draws from it
-  for (std::size_t i = 0; i < chain.tiers.size(); ++i) {
-    GraphNodeConfig node;
-    node.tier = chain.tiers[i];
-    node.initial_vms = chain.initial_vms[i];
-    if (i + 1 < chain.tiers.size()) {
-      node.route = {RouteStage{{{i + 1}}}};
-    }
-    graph.nodes.push_back(std::move(node));
-  }
-  scenario.graph = std::move(graph);
+  scenario.graph = topology::linear_graph_config(base.system_config());
+  scenario.graph.seed = base.seed ^ 0x77;  // no cache node ever draws from it
   scenario.mix = base.make_mix();
   scenario.framework = make_framework_config(base);
   return scenario;

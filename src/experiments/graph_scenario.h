@@ -1,7 +1,7 @@
 // Service-graph scenario presets: the topologies the graph benches run —
 // a 3-service fan-out DAG with a shared backend, a cache chain whose hit
-// ratio churns mid-run, and the linear chain expressed as the trivial DAG
-// (the byte-identical-equivalence anchor against NTierSystem).
+// ratio churns mid-run, and the paper's linear chain, which is what
+// run_scaling runs.
 //
 // A GraphScenario bundles everything run_graph_scaling needs: the DAG
 // config, a request mix whose per-"tier" demand vectors are indexed by node,
@@ -51,10 +51,11 @@ GraphScenario make_fanout_scenario(const ScenarioParams& base);
 /// critical resource migrates from Frontend to Db within one run.
 GraphScenario make_cache_scenario(const ScenarioParams& base);
 
-/// The paper's 3-tier chain (Apache → Tomcat → MySQL) expressed as a
-/// service graph: same tier templates, same mix, same framework config.
-/// Runs must replay the NTierSystem event sequence byte-identically
-/// (pinned by tests/topology/linear_equivalence_test).
+/// The paper's 3-tier chain (Apache → Tomcat → MySQL): the graph of
+/// base.system_config() (topology::linear_graph_config, the helper
+/// NTierSystem is built with), base.make_mix() and make_framework_config.
+/// run_scaling(base, ...) is run_graph_scaling on this scenario, less the
+/// graph extras.
 GraphScenario make_linear_scenario(const ScenarioParams& base);
 
 }  // namespace conscale

@@ -1,15 +1,16 @@
 // Laned experiment runners: run_scaling / run_graph_scaling executed on the
 // lane-partitioned PDES engine (src/simcore/lanes/, DESIGN.md §6.6).
 //
-// Partitioning: lane 0 hosts the entire serving system — NTierSystem or
-// topology::ServiceGraph, warehouse, monitor, scaling framework, fault
-// injector — completely unchanged, so every registry controller runs
-// unmodified. The closed-loop session population is what gets parallel:
-// it is split into `shards` SessionShards placed round-robin on the worker
-// lanes, talking to a LaneGateway on lane 0 across the client<->frontend
-// network channel. That channel's latency is the lookahead that makes the
-// partition safe; the inter-tier hops have no natural delay, so the client
-// edge is the only cut.
+// Both runners build through the serial runners' RunAssembly
+// (experiments/run_assembly.h); only the workload driver differs.
+// Partitioning: lane 0 hosts the entire serving system — service graph,
+// warehouse, monitor, scaling framework, fault injector — completely
+// unchanged, so every registry controller runs unmodified. The closed-loop
+// session population is what gets parallel: it is split into `shards`
+// SessionShards placed round-robin on the worker lanes, talking to a
+// LaneGateway on lane 0 across the client<->frontend network channel. That
+// channel's latency is the lookahead that makes the partition safe; the
+// inter-tier hops have no natural delay, so the client edge is the only cut.
 //
 // Determinism contract: `lanes` controls thread placement only. lanes=1 and
 // lanes=K execute the identical keyed event sequence, so their results are
@@ -31,8 +32,8 @@ namespace conscale {
 
 struct LanedRunOptions {
   /// Everything run_scaling accepts (duration, monitoring, framework
-  /// overrides, faults, context). session_workload is not supported on the
-  /// laned path (throws std::invalid_argument).
+  /// overrides, faults, context). session_workload is rejected on lanes
+  /// (std::invalid_argument): the shards drive their own sessions.
   ScalingRunOptions base;
   /// Event-loop partitions, one worker thread each. 1 = serial reference
   /// execution (zero threads, same window schedule). Results are

@@ -4,7 +4,9 @@
 // Two families:
 //   run_scaling(...)          the §V evaluation runs (Fig 1/10/11, Table I):
 //                             a bursty trace drives a 1/1/1 system managed by
-//                             one of the three scaling frameworks.
+//                             one of the three scaling frameworks. It is the
+//                             linear GraphScenario run through the one
+//                             RunAssembly (experiments/run_assembly.h).
 //   run_concurrency_sweep(...) / collect_scatter(...)
 //                             the §II-B / §III profiling experiments
 //                             (Fig 3/5/6/7): controlled-concurrency stress of
@@ -42,7 +44,8 @@ struct ScalingRunOptions {
   /// Drive the system with Markov-session users (SessionModel::rubbos_browse)
   /// instead of i.i.d. class draws with exponential think time. Sessions add
   /// the short-range correlation of real navigation; the population still
-  /// tracks the trace.
+  /// tracks the trace. Rejected (std::invalid_argument) with admission
+  /// control and on lanes.
   bool session_workload = false;
   /// Deterministic fault schedule replayed against the run (src/faults).
   /// Empty (the default) injects nothing and leaves the run byte-identical
@@ -80,8 +83,8 @@ struct ScalingRunResult {
   double sla_500ms = 0.0;
   std::uint64_t requests_issued = 0;
   std::uint64_t requests_completed = 0;
-  /// Requests shed by admission control. Always zero for linear-chain runs
-  /// (NTierSystem has no admission path); service-graph runs with shedding
+  /// Requests shed by admission control. Always zero for run_scaling (the
+  /// chain preset has no admission); service-graph runs with shedding
   /// enabled report the count here (see experiments/graph_runner.h).
   std::uint64_t requests_rejected = 0;
   /// Departure/abort hooks seen without a matching admission, summed over

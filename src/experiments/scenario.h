@@ -7,8 +7,8 @@
 #include <cstdint>
 #include <string>
 
-#include "cluster/ntier_system.h"
 #include "resources/contention.h"
+#include "topology/service_graph.h"
 #include "workload/client.h"
 #include "workload/mix.h"
 #include "workload/trace.h"

@@ -113,11 +113,23 @@ ServiceGraph::ServiceGraph(Simulation& sim, ServiceGraphConfig config,
     tc.tier_index = static_cast<int>(i);
     tiers_.push_back(std::make_unique<TierGroup>(sim_, tc, ctx_));
   }
-  // Wire each routing node's servers to the graph router. Leaf nodes with no
-  // cache keep a null downstream, exactly like the chain's last tier.
+  // Wire each routing node's servers to its route. A route of one
+  // single-call stage, with no cache in front, dispatches straight into the
+  // child's load balancer: that is the whole wiring of a chain. Leaf nodes
+  // with no cache keep a null downstream.
   for (std::size_t i = 0; i < n; ++i) {
     const GraphNodeConfig& node = config_.nodes[i];
     if (node.route.empty() && !node.cache.enabled) continue;
+    if (!node.cache.enabled && node.route.size() == 1 &&
+        node.route[0].calls.size() == 1) {
+      LoadBalancer* child = &tiers_[node.route[0].calls[0].node]->lb();
+      tiers_[i]->set_downstream_factory([child]() {
+        return [child](const RequestContext& ctx, Server::Completion done) {
+          child->dispatch(ctx, std::move(done));
+        };
+      });
+      continue;
+    }
     tiers_[i]->set_downstream_factory([this, i]() {
       return [this, i](const RequestContext& ctx, Server::Completion done) {
         const CacheModel& cache = config_.nodes[i].cache;
@@ -162,30 +174,38 @@ void ServiceGraph::run_route(std::size_t node_index, const RequestContext& ctx,
   if (stage_index + 1 >= route.size()) {
     next = std::move(done);
   } else {
-    next = [this, node_index, ctx, stage_index,
-            done = std::move(done)]() mutable {
-      run_route(node_index, ctx, stage_index + 1, std::move(done));
-    };
+    const std::uint32_t slot = stages_.claim();
+    StageSlot& rest = stages_[slot];
+    rest.ctx = ctx;
+    rest.node = node_index;
+    rest.next_stage = stage_index + 1;
+    rest.done = std::move(done);
+    next = [this, slot] { resume_route(slot); };
   }
   if (stage.calls.size() == 1) {
-    // Sequential call: no join bookkeeping — this is the chain's downstream
-    // dispatch verbatim (the linear-equivalence contract rides on it).
     tiers_[stage.calls[0].node]->lb().dispatch(ctx, std::move(next));
     return;
   }
   // Parallel fan-out with join-on-all: the last reply continues the route.
-  struct JoinState {
-    std::size_t remaining;
-    Server::Completion next;
-  };
-  auto join = std::make_shared<JoinState>();
-  join->remaining = stage.calls.size();
-  join->next = std::move(next);
+  const std::uint32_t slot = joins_.claim();
+  joins_[slot].remaining = stage.calls.size();
+  joins_[slot].next = std::move(next);
   for (const GraphCall& call : stage.calls) {
-    tiers_[call.node]->lb().dispatch(ctx, [join] {
-      if (--join->remaining == 0) join->next();
-    });
+    tiers_[call.node]->lb().dispatch(ctx, [this, slot] { join_reply(slot); });
   }
+}
+
+void ServiceGraph::resume_route(std::uint32_t slot) {
+  StageSlot rest = std::move(stages_[slot]);
+  stages_.release(slot);
+  run_route(rest.node, rest.ctx, rest.next_stage, std::move(rest.done));
+}
+
+void ServiceGraph::join_reply(std::uint32_t slot) {
+  if (--joins_[slot].remaining > 0) return;
+  Server::Completion next = std::move(joins_[slot].next);
+  joins_.release(slot);
+  next();
 }
 
 bool ServiceGraph::admit() {
@@ -202,7 +222,8 @@ bool ServiceGraph::admit() {
   if (policy.max_queue_age > 0.0) {
     prune_inflight();
     if (!inflight_.empty() &&
-        sim_.now() - inflight_.front().admitted_at > policy.max_queue_age) {
+        sim_.now() - tracked_[inflight_.front()].admitted_at >
+            policy.max_queue_age) {
       ++admission_stats_.rejected_age;
       return false;
     }
@@ -211,8 +232,8 @@ bool ServiceGraph::admit() {
 }
 
 void ServiceGraph::prune_inflight() {
-  while (!inflight_.empty() &&
-         completed_ids_.erase(inflight_.front().id) > 0) {
+  while (!inflight_.empty() && tracked_[inflight_.front()].completed) {
+    tracked_.release(inflight_.front());
     inflight_.pop_front();
   }
 }
@@ -224,21 +245,64 @@ void ServiceGraph::submit(const RequestContext& ctx,
     return;
   }
   ++admission_stats_.admitted;
-  const bool track =
-      config_.admission.enabled && config_.admission.max_queue_age > 0.0;
-  if (track) inflight_.push_back({ctx.id, sim_.now()});
-  tiers_.front()->lb().dispatch(
-      ctx, [this, track, id = ctx.id, done = std::move(done)] {
-        if (track) {
-          completed_ids_.insert(id);
-          prune_inflight();
-        }
-        done(RequestOutcome::kServed);
-      });
+  if (!config_.admission.enabled || config_.admission.max_queue_age <= 0.0) {
+    tiers_.front()->lb().dispatch(ctx, [done = std::move(done)] {
+      done(RequestOutcome::kServed);
+    });
+    return;
+  }
+  const std::uint32_t slot = tracked_.claim();
+  tracked_[slot] = {std::move(done), sim_.now(), false};
+  inflight_.push_back(slot);
+  tiers_.front()->lb().dispatch(ctx, [this, slot] { tracked_reply(slot); });
+}
+
+void ServiceGraph::tracked_reply(std::uint32_t slot) {
+  std::function<void(RequestOutcome)> done = std::move(tracked_[slot].done);
+  tracked_[slot].completed = true;
+  prune_inflight();
+  done(RequestOutcome::kServed);
+}
+
+void ServiceGraph::submit(const RequestContext& ctx,
+                          std::function<void()> done) {
+  if (config_.admission.enabled) {
+    throw std::logic_error(
+        "ServiceGraph: admission control needs the RequestOutcome submit");
+  }
+  ++admission_stats_.admitted;
+  tiers_.front()->lb().dispatch(ctx, std::move(done));
 }
 
 void ServiceGraph::add_vm_ready_callback(VmReadyCallback callback) {
   on_vm_ready_.push_back(std::move(callback));
 }
 
+ServiceGraphConfig linear_graph_config(const SystemConfig& config) {
+  if (config.tiers.empty()) {
+    throw std::invalid_argument("SystemConfig: no tiers configured");
+  }
+  if (config.initial_vms.size() != config.tiers.size()) {
+    throw std::invalid_argument(
+        "SystemConfig: initial_vms must match tier count");
+  }
+  ServiceGraphConfig graph;
+  for (std::size_t i = 0; i < config.tiers.size(); ++i) {
+    GraphNodeConfig node;
+    node.tier = config.tiers[i];
+    node.initial_vms = config.initial_vms[i];
+    if (i + 1 < config.tiers.size()) node.route = {RouteStage{{{i + 1}}}};
+    graph.nodes.push_back(std::move(node));
+  }
+  return graph;
+}
+
 }  // namespace conscale::topology
+
+namespace conscale {
+
+NTierSystem::NTierSystem(Simulation& sim, SystemConfig config,
+                         const RunContext* context)
+    : ServiceGraph(sim, topology::linear_graph_config(config), context) {}
+
+}  // namespace conscale

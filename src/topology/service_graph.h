@@ -1,12 +1,17 @@
-// ServiceGraph: the DAG generalization of NTierSystem (DESIGN.md §"Service
-// graphs"). Each graph node owns one horizontally scalable TierGroup plus a
-// routing spec: an ordered list of stages executed sequentially, where every
-// stage fans out to one or more child nodes in parallel and joins on all
-// replies before the next stage runs (synchronous RPC semantics throughout —
-// the serving thread is held across the whole route, exactly like the
-// chain's downstream calls). Nodes may share children ("shared backend"), so
-// cross-traffic from several parents meets at one tier and per-node SCT
-// ranges must be estimated under interference.
+// ServiceGraph: the system under test (DESIGN.md §6e) and the only
+// implementation of TierSystem. Each graph node owns one horizontally
+// scalable TierGroup plus a routing spec: an ordered list of stages executed
+// sequentially, where every stage fans out to one or more child nodes in
+// parallel and joins on all replies before the next stage runs (synchronous
+// RPC semantics throughout — the serving thread is held across the whole
+// route). Nodes may share children ("shared backend"), so cross-traffic from
+// several parents meets at one tier and per-node SCT ranges must be
+// estimated under interference.
+//
+// The paper's Apache -> Tomcat -> MySQL chain is the graph's linear preset:
+// NTierSystem (below) turns a SystemConfig into a chain of single-call
+// routes, and a single-call route is wired straight to the child's load
+// balancer, so the chain pays nothing for the generality.
 //
 // Two node behaviors ride on top of plain routing:
 //   * cache nodes — a deterministic hit-ratio model; a hit short-circuits
@@ -17,10 +22,8 @@
 //     shedding that reports RequestOutcome::kRejected instead of queueing
 //     into an overloaded system.
 //
-// ServiceGraph implements TierSystem with node index == tier index, so every
-// scaling framework, estimator, monitor, and fault plan runs against a graph
-// unmodified; a linear chain expressed as a graph replays the exact event
-// sequence NTierSystem produces (pinned by tests/topology).
+// Node index == tier index, so every scaling framework, estimator, monitor,
+// and fault plan runs against any graph unmodified.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +31,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/tier_group.h"
@@ -117,7 +119,7 @@ struct CacheStats {
   std::uint64_t misses = 0;
 };
 
-class ServiceGraph final : public TierSystem {
+class ServiceGraph : public TierSystem {
  public:
   /// Validates the config (throws std::invalid_argument on cycles,
   /// out-of-range route targets, self-calls, duplicate node names, or
@@ -132,6 +134,10 @@ class ServiceGraph final : public TierSystem {
   /// served or shed; rejections fire synchronously at submit time.
   void submit(const RequestContext& ctx,
               std::function<void(RequestOutcome)> done);
+  /// Entry point for callers that cannot observe a rejection (the session
+  /// population, the profiling runners). Throws std::logic_error when
+  /// admission control is enabled.
+  void submit(const RequestContext& ctx, std::function<void()> done);
 
   // ---- TierSystem (node index == tier index) ----
   std::size_t tier_count() const override { return tiers_.size(); }
@@ -153,14 +159,57 @@ class ServiceGraph final : public TierSystem {
   }
 
  private:
-  struct InFlight {
-    std::uint64_t id;
-    SimTime admitted_at;
+  /// Recycled continuation state. A closure handed to a load balancer
+  /// captures only `this` and a slot index, so it fits Callback's inline
+  /// buffer. Every dispatched request is answered exactly once (a crashed
+  /// server replies to each request it held), so a slot is released when
+  /// its closure runs and needs no generation check.
+  template <typename T>
+  class SlotPool {
+   public:
+    std::uint32_t claim() {
+      if (free_.empty()) {
+        slots_.emplace_back();
+        return static_cast<std::uint32_t>(slots_.size() - 1);
+      }
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      return slot;
+    }
+    void release(std::uint32_t slot) { free_.push_back(slot); }
+    /// Invalidated by the next claim().
+    T& operator[](std::uint32_t slot) { return slots_[slot]; }
+
+   private:
+    std::vector<T> slots_;
+    std::vector<std::uint32_t> free_;
+  };
+
+  /// The rest of a multi-stage route, resumed when a stage joins.
+  struct StageSlot {
+    RequestContext ctx;
+    std::size_t node = 0;
+    std::size_t next_stage = 0;
+    Server::Completion done;
+  };
+  /// One parallel fan-out waiting for its replies.
+  struct JoinSlot {
+    std::size_t remaining = 0;
+    Server::Completion next;
+  };
+  /// An admitted request while the queue-age check is armed.
+  struct TrackedSlot {
+    std::function<void(RequestOutcome)> done;
+    SimTime admitted_at = 0.0;
+    bool completed = false;
   };
 
   void validate(const ServiceGraphConfig& config) const;
   void run_route(std::size_t node, const RequestContext& ctx,
                  std::size_t stage, Server::Completion done);
+  void resume_route(std::uint32_t slot);
+  void join_reply(std::uint32_t slot);
+  void tracked_reply(std::uint32_t slot);
   bool admit();
   void prune_inflight();
 
@@ -172,11 +221,42 @@ class ServiceGraph final : public TierSystem {
   std::vector<Rng> cache_rngs_;          ///< per node (unused if no cache)
   std::vector<CacheStats> cache_stats_;  ///< per node
   AdmissionStats admission_stats_;
-  /// Age tracking (only populated when the age check is armed): admitted
-  /// requests in admission order + lazily-pruned completion marks. Keyed
-  /// access only — never iterated (determinism audit, DESIGN.md §8).
-  std::deque<InFlight> inflight_;
-  std::unordered_set<std::uint64_t> completed_ids_;
+  SlotPool<StageSlot> stages_;
+  SlotPool<JoinSlot> joins_;
+  SlotPool<TrackedSlot> tracked_;
+  /// Age tracking (only populated when the age check is armed): tracked_
+  /// slots in admission order; completed ones are popped, and their slots
+  /// recycled, once they reach the front.
+  std::deque<std::uint32_t> inflight_;
 };
 
 }  // namespace conscale::topology
+
+namespace conscale {
+
+/// The chain preset's input: tier templates front to back (web -> app -> db
+/// in the RUBBoS default, deeper chains allowed).
+struct SystemConfig {
+  std::vector<TierConfig> tiers;
+  /// Initial number of VMs per tier (the paper's #Web/#App/#DB notation;
+  /// e.g. {1,1,1} for the 1/1/1 topology). Must match tiers.size().
+  std::vector<std::size_t> initial_vms;
+};
+
+namespace topology {
+
+/// The linear graph of `config`: node i routes one call to node i+1, no
+/// caches, no admission, default seed. Throws std::invalid_argument when
+/// `config` has no tiers or its initial_vms does not match them.
+ServiceGraphConfig linear_graph_config(const SystemConfig& config);
+
+}  // namespace topology
+
+/// The paper's n-tier chain: a ServiceGraph built from a SystemConfig.
+class NTierSystem final : public topology::ServiceGraph {
+ public:
+  NTierSystem(Simulation& sim, SystemConfig config,
+              const RunContext* context = nullptr);
+};
+
+}  // namespace conscale

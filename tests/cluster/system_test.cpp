@@ -1,4 +1,4 @@
-#include "cluster/ntier_system.h"
+#include "topology/service_graph.h"
 
 #include <gtest/gtest.h>
 

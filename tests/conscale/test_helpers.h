@@ -4,10 +4,10 @@
 
 #include <memory>
 
-#include "cluster/ntier_system.h"
 #include "experiments/scenario.h"
 #include "metrics/monitor.h"
 #include "metrics/warehouse.h"
+#include "topology/service_graph.h"
 #include "workload/client.h"
 
 namespace conscale::testing {

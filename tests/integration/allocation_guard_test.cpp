@@ -5,10 +5,12 @@
 // that follows, the global operator new (replaced below to count calls) may
 // run at most 0.5 times per completed request. The byte-identity suites
 // cannot see a closure that silently outgrows Callback's inline buffer or
-// std::function's small-object buffer; this count can. A second case holds
-// the event queue's chunk pool to the same rule under 100 000 pending timers,
-// and a third holds processor-sharing churn to re-arming its completion
-// timer: no event slots, no cancelled entries piling up in the queue.
+// std::function's small-object buffer; this count can. The fanout3 service
+// graph is held to the same rule through its outcome-reporting entry point,
+// parallel fan-out and join. A further case holds the event queue's chunk
+// pool to the rule under 100 000 pending timers, and another holds
+// processor-sharing churn to re-arming its completion timer: no event
+// slots, no cancelled entries piling up in the queue.
 //
 // Built only without -DSANITIZE: the sanitizers interpose the allocator
 // themselves.
@@ -22,11 +24,11 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/ntier_system.h"
 #include "common/rng.h"
-#include "experiments/scenario.h"
+#include "experiments/graph_scenario.h"
 #include "resources/ps_resource.h"
 #include "simcore/simulation.h"
+#include "topology/service_graph.h"
 #include "workload/client.h"
 
 namespace {
@@ -47,6 +49,25 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace conscale {
 namespace {
 
+/// Warms `clients` up, then returns heap allocations per completed request
+/// over the following minute of simulated time.
+double allocations_per_request(Simulation& sim,
+                               const ClientPopulation& clients) {
+  sim.run_until(40.0);  // warm-up: pools and queues reach working size
+  const std::uint64_t allocations_before = g_allocations;
+  const std::uint64_t completed_before = clients.requests_completed();
+  sim.run_until(100.0);
+  const std::uint64_t allocations = g_allocations - allocations_before;
+  const std::uint64_t completed =
+      clients.requests_completed() - completed_before;
+  EXPECT_GT(completed, 10000u);
+  ::testing::Test::RecordProperty("allocations",
+                                  static_cast<int>(allocations));
+  ::testing::Test::RecordProperty("completed", static_cast<int>(completed));
+  return static_cast<double>(allocations) /
+         static_cast<double>(std::max<std::uint64_t>(completed, 1));
+}
+
 TEST(AllocationGuard, SteadyStateRequestPathIsAllocationFree) {
   ScenarioParams params = ScenarioParams::paper_default();
   params.web_init = 1;
@@ -64,22 +85,25 @@ TEST(AllocationGuard, SteadyStateRequestPathIsAllocationFree) {
         system.submit(ctx, std::move(done));
       },
       client_params);
+  EXPECT_LT(allocations_per_request(sim, clients), 0.5);
+}
 
-  sim.run_until(40.0);  // warm-up: pools and queues reach working size
-  const std::uint64_t allocations_before = g_allocations;
-  const std::uint64_t completed_before = clients.requests_completed();
-  sim.run_until(100.0);
-  const std::uint64_t allocations = g_allocations - allocations_before;
-  const std::uint64_t completed =
-      clients.requests_completed() - completed_before;
-
-  ASSERT_GT(completed, 10000u);
-  const double per_request =
-      static_cast<double>(allocations) / static_cast<double>(completed);
-  RecordProperty("allocations", static_cast<int>(allocations));
-  RecordProperty("completed", static_cast<int>(completed));
-  EXPECT_LT(per_request, 0.5) << allocations << " allocations over "
-                              << completed << " completed requests";
+TEST(AllocationGuard, FanoutGraphRequestPathIsAllocationFree) {
+  const GraphScenario scenario =
+      make_fanout_scenario(ScenarioParams::paper_default());
+  Simulation sim;
+  topology::ServiceGraph system(sim, scenario.graph);
+  const WorkloadTrace trace = make_constant_trace(1500.0, 120.0);
+  ClientPopulation::Params client_params;
+  client_params.think_time_mean = scenario.base.think_time;
+  ClientPopulation clients(
+      sim, trace, scenario.mix,
+      [&system](const RequestContext& ctx,
+                std::function<void(RequestOutcome)> done) {
+        system.submit(ctx, std::move(done));
+      },
+      client_params);
+  EXPECT_LT(allocations_per_request(sim, clients), 0.5);
 }
 
 TEST(AllocationGuard, EventQueueRecyclesBucketChunks) {

@@ -1,8 +1,9 @@
 // Pins the two contracts the graph experiments layer rides on:
 //
-//  * Linear equivalence — the paper's 3-tier chain expressed as the trivial
-//    DAG must replay the NTierSystem event sequence byte-identically, for
-//    every controller family (threshold, profile-driven, SCT).
+//  * Linear equivalence — run_scaling and run_graph_scaling on the linear
+//    scenario must agree byte for byte, for every controller family
+//    (threshold, profile-driven, SCT) and for session workloads: the graph
+//    runner's per-node latency recorders may not perturb the run.
 //  * Run determinism — graph runs (fan-out DAG with a shared backend, cache
 //    chain with churn, admission shedding) are bit-identical across serial
 //    repeats and jobs=4 thread fan-out.
@@ -10,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "experiments/laned_runner.h"
 #include "experiments/parallel.h"
 
 namespace conscale {
@@ -126,13 +130,45 @@ TEST(GraphDeterminism, SheddingRunAccountsEveryRequest) {
   EXPECT_LE(series_rejections, first.run.requests_rejected);
 }
 
-TEST(GraphRunner, RejectsSessionWorkloads) {
-  const GraphScenario scenario = make_linear_scenario(quick_params());
+TEST(GraphRunner, SessionsOnLinearGraphMatchRunScaling) {
+  // Session workloads run on any graph without admission control; on the
+  // linear scenario they must replay run_scaling's session run exactly.
+  const ScenarioParams params = quick_params();
   ScalingRunOptions options = quick_options();
   options.session_workload = true;
-  EXPECT_THROW(run_graph_scaling(scenario, TraceKind::kBigSpike, "conscale",
-                                 options),
-               std::invalid_argument);
+  const ScalingRunResult chain =
+      run_scaling(params, TraceKind::kBigSpike, "conscale", options);
+  const GraphRunResult graph = run_graph_scaling(
+      make_linear_scenario(params), TraceKind::kBigSpike, "conscale",
+      options);
+  std::string diff;
+  EXPECT_TRUE(results_equivalent(chain, graph.run, &diff)) << diff;
+  EXPECT_GT(chain.requests_completed, 0u);
+}
+
+TEST(GraphRunner, RejectsSessionsWithAdmissionAndOnLanes) {
+  ScalingRunOptions options = quick_options();
+  options.session_workload = true;
+  GraphScenario shedding = make_fanout_scenario(quick_params());
+  shedding.graph.admission.enabled = true;
+  shedding.graph.admission.queue_limit = 40;
+  try {
+    run_graph_scaling(shedding, TraceKind::kBigSpike, "conscale", options);
+    ADD_FAILURE() << "sessions with admission control must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("admission"), std::string::npos)
+        << e.what();
+  }
+  LanedRunOptions laned;
+  laned.base = options;
+  try {
+    run_scaling_laned(quick_params(), TraceKind::kBigSpike, "conscale",
+                      laned);
+    ADD_FAILURE() << "sessions on lanes must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("lanes"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

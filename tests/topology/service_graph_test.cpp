@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "simcore/simulation.h"
@@ -405,6 +406,30 @@ TEST(Admission, DisabledPolicyNeverSheds) {
   EXPECT_EQ(rejected, 0);
   EXPECT_EQ(served, 20);
   EXPECT_EQ(graph.admission_stats().rejected(), 0u);
+}
+
+TEST(Admission, OutcomeBlindSubmitRequiresAdmissionOff) {
+  // The void-continuation entry point serves like the outcome one when
+  // admission is off, and refuses to run when a rejection could happen.
+  ServiceGraphConfig config;
+  config.nodes = {leaf("S", 1, /*threads=*/1)};
+  Simulation sim;
+  ServiceGraph graph(sim, config);
+  config.admission.enabled = true;
+  config.admission.queue_limit = 2;
+  Simulation shedding_sim;
+  ServiceGraph shedding(shedding_sim, config);
+
+  const RequestClass cls = exact_class({hold(1.0)});
+  int served = 0;
+  sim.schedule_after(0.5, [&] {
+    graph.submit(request_for(cls, 1, sim.now()), [&served] { ++served; });
+  });
+  sim.run_until(10.0);
+  EXPECT_EQ(served, 1);
+  EXPECT_EQ(graph.admission_stats().admitted, 1u);
+  EXPECT_THROW(shedding.submit(request_for(cls, 1, 0.0), [] {}),
+               std::logic_error);
 }
 
 }  // namespace
